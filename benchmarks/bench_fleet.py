@@ -7,8 +7,8 @@ than the scalar reference parser — a floor asserted *unconditionally*,
 because vectorisation needs no extra cores — while producing identical
 results.  Identity is asserted in the same run, three ways:
 
-* **value digest** — every parsed entry of the benchmark corpus, plus the
-  segment watermarks, hashed on both paths and compared;
+* **value digest** — every parsed entry of the benchmark corpus, hashed
+  on both paths and compared;
 * **drop ledgers** — a fault-injected copy of a corpus slice (truncated
   lines, binary garbage, bad timestamps) parsed leniently on both paths
   must yield byte-identical ``IngestReport`` JSON;
@@ -57,7 +57,7 @@ from _bench_utils import emit  # noqa: E402
 from repro import ScenarioConfig, run_analysis, run_scenario  # noqa: E402
 from repro.columnar import (  # noqa: E402
     COLUMNAR_AVAILABLE,
-    parse_log_segment_columnar,
+    parse_log_columnar,
 )
 from repro.faults.ledger import IngestReport  # noqa: E402
 from repro.fleet import preset, write_corpus  # noqa: E402
@@ -77,26 +77,25 @@ def _timed_parses(parse, text):
     entries = 0
     for _ in range(TIMED_REPS):
         wall0, cpu0 = time.perf_counter(), time.process_time()
-        segment = parse(text)
+        parsed = parse(text)
         wall, cpu = (
             time.perf_counter() - wall0,
             time.process_time() - cpu0,
         )
         best_wall = min(best_wall, wall)
         best_cpu = min(best_cpu, cpu)
-        digest = _digest(segment)
-        entries = len(segment.entries)
-        del segment
+        digest = _digest(parsed)
+        entries = len(parsed)
+        del parsed
     return best_wall, best_cpu, digest, entries
 
 
-def _digest(segment) -> str:
+def _digest(entries) -> str:
     """Value-based digest of a parse (identity-blind, unlike pickle)."""
     h = hashlib.sha256()
-    for entry in segment.entries:
+    for entry in entries:
         h.update(repr(entry).encode())
         h.update(b"\n")
-    h.update(repr((segment.latest, segment.min_parsed)).encode())
     return h.hexdigest()
 
 
@@ -124,13 +123,13 @@ def _fault_inject(text: str, seed: int = 13) -> str:
 
 def _ledgers_identical(text: str) -> bool:
     scalar_report, columnar_report = IngestReport(), IngestReport()
-    scalar = SyslogCollector.parse_log_segment(
+    scalar = SyslogCollector.parse_log(
         text, strict=False, report=scalar_report
     )
-    columnar = parse_log_segment_columnar(
+    columnar = parse_log_columnar(
         text, strict=False, report=columnar_report
     )
-    return scalar.entries == columnar.entries and _ledger_json(
+    return scalar == columnar and _ledger_json(
         scalar_report
     ) == _ledger_json(columnar_report)
 
@@ -161,14 +160,14 @@ def run_bench(quick: bool, scenario_days: float) -> dict:
         generate_seconds = time.perf_counter() - started
         text = (Path(tmp) / "syslog.log").read_text(encoding="utf-8")
 
-    warm = parse_log_segment_columnar(text)
+    warm = parse_log_columnar(text)
     del warm
 
     scalar_seconds, scalar_cpu, scalar_digest, entry_count = _timed_parses(
-        SyslogCollector.parse_log_segment, text
+        SyslogCollector.parse_log, text
     )
     columnar_seconds, columnar_cpu, columnar_digest, _ = _timed_parses(
-        parse_log_segment_columnar, text
+        parse_log_columnar, text
     )
 
     # Identity leg 2: drop ledgers on a damaged slice of the same corpus.

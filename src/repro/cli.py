@@ -51,7 +51,6 @@ Examples::
 
     repro simulate --seed 7 --days 60 --out campaign/
     repro analyze campaign/ --seed 7
-    repro analyze campaign/ --seed 7 --jobs 4
     repro report campaign/ --seed 7 --table table4
     repro stream campaign/ --seed 7 --checkpoint engine.ckpt \\
         --checkpoint-every 50000
@@ -93,14 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("dataset", nargs="?", help="saved dataset directory")
     analyze.add_argument("--seed", type=int, default=2013)
     analyze.add_argument("--days", type=float, default=60.0)
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="process-pool width; 0 (the default) uses one job per CPU "
-        "core, >1 shards the pipeline (results are byte-identical to "
-        "--jobs 1)",
-    )
     analyze.add_argument(
         "--ingest",
         choices=["scalar", "columnar"],
@@ -684,9 +675,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
     if args.command == "analyze":
-        result = run_analysis(
-            _load_or_run(args), jobs=args.jobs, ingest=args.ingest
-        )
+        result = run_analysis(_load_or_run(args), ingest=args.ingest)
         _print_analysis(result)
         return 0
     if args.command == "fleetgen":

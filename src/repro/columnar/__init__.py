@@ -18,12 +18,10 @@ from repro.columnar.ingest import (
     COLUMNAR_AVAILABLE,
     available_backends,
     parse_log_columnar,
-    parse_log_segment_columnar,
 )
 
 __all__ = [
     "COLUMNAR_AVAILABLE",
     "available_backends",
     "parse_log_columnar",
-    "parse_log_segment_columnar",
 ]

@@ -2,12 +2,12 @@
 
 The contract
 ------------
-:func:`parse_log_segment_columnar` is a drop-in replacement for
-:meth:`repro.syslog.collector.SyslogCollector.parse_log_segment`: for every
+:func:`parse_log_columnar` is a drop-in replacement for
+:meth:`repro.syslog.collector.SyslogCollector.parse_log`: for every
 input — clean, garbage, truncated, non-ASCII — it returns the same
-``ParsedSegment`` (same entries, same ``latest``/``min_parsed``), records
-the same drops in the same order into the ``IngestReport``, and raises the
-same exception from the same line in strict mode.
+entries, records the same drops in the same order into the
+``IngestReport``, and raises the same exception from the same line in
+strict mode.
 
 The engine earns its speed only on lines it can *prove* the scalar parser
 would accept, and proves it with vectorised byte-level checks:
@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.ledger import CHANNEL_SYSLOG, IngestReport
 from repro.syslog.cisco import CiscoLogEntry, parse_cisco_body
-from repro.syslog.collector import CollectedEntry, ParsedSegment, SyslogCollector
+from repro.syslog.collector import CollectedEntry, SyslogCollector
 from repro.syslog.message import parse_syslog_line, try_parse_syslog_line
 from repro.util.timefmt import STUDY_EPOCH, _YEAR_RESOLUTION_SLACK
 
@@ -123,7 +123,7 @@ _BATCH_LINES = 1 << 17
 
 
 def _parsed_entry(time: float, hostname: str, body: str) -> CollectedEntry:
-    cache = _CISCO_CACHE  # reprolint: disable=W003 -- per-process memo: every entry is re-derived purely from (hostname, body), so whatever a worker's copy holds, the returned values equal a cold parse
+    cache = _CISCO_CACHE
     cached = cache.get((hostname, body))
     if cached is None:
         if body.startswith(_CISCO_PREFIXES):
@@ -131,7 +131,7 @@ def _parsed_entry(time: float, hostname: str, body: str) -> CollectedEntry:
         else:
             entry = None
         if len(cache) >= _CISCO_CACHE_CAP:
-            cache.clear()  # reprolint: disable=W001 -- the memo never escapes the process and carries no result state; mutating a worker's copy only affects that worker's parse speed
+            cache.clear()
         cached = (hostname, body, entry)
         cache[hostname, body] = cached
     hostname, body, entry = cached
@@ -151,15 +151,12 @@ def _parsed_entry(time: float, hostname: str, body: str) -> CollectedEntry:
 class _Walk:
     """Mutable per-parse state threaded through batches and slow lines."""
 
-    __slots__ = ("strict", "report", "latest", "min_parsed", "entries")
+    __slots__ = ("strict", "report", "latest", "entries")
 
-    def __init__(
-        self, strict: bool, report: Optional[IngestReport], after: float
-    ) -> None:
+    def __init__(self, strict: bool, report: Optional[IngestReport]) -> None:
         self.strict = strict
         self.report = report
-        self.latest = after
-        self.min_parsed: Optional[float] = None
+        self.latest = 0.0
         self.entries: List[CollectedEntry] = []
 
     def scalar_line(self, line: str, line_number: int, line_offset: int) -> None:
@@ -183,8 +180,6 @@ class _Walk:
         timestamp = message.timestamp
         if timestamp > self.latest:
             self.latest = timestamp
-        if self.min_parsed is None or timestamp < self.min_parsed:
-            self.min_parsed = timestamp
         self.entries.append(
             _parsed_entry(timestamp, message.hostname, message.body)
         )
@@ -419,9 +414,6 @@ def _parse_ascii_batch(
             fields["ms"][lo:hi],
             walk.latest,
         )
-        group_min = float(times.min())
-        if walk.min_parsed is None or group_min < walk.min_parsed:
-            walk.min_parsed = group_min
         walk.latest = latest
         append = walk.entries.append
         make = _parsed_entry
@@ -473,54 +465,7 @@ def _parse_ascii_chunk(
         )
 
 
-def parse_log_segment_columnar(
-    text: str,
-    *,
-    strict: bool = True,
-    report: Optional[IngestReport] = None,
-    after: float = 0.0,
-    line_base: int = 0,
-    offset_base: int = 0,
-) -> ParsedSegment:
-    """Vectorised twin of ``SyslogCollector.parse_log_segment``.
-
-    Same signature, same results, same ledger records, same strict-mode
-    exceptions — see the module docstring for how the identity is proven
-    line by line.  Falls back to the scalar parser wholesale when numpy is
-    unavailable.
-    """
-    if np is None:
-        return SyslogCollector.parse_log_segment(
-            text,
-            strict=strict,
-            report=report,
-            after=after,
-            line_base=line_base,
-            offset_base=offset_base,
-        )
-    walk = _Walk(strict=strict, report=report, after=after)
-    # The parse allocates one tracked object per line and they all survive
-    # to the end, so the generational collector can only waste time
-    # re-walking the growing heap (measured at >2x the whole parse).  Pause
-    # it for the duration; collection semantics are unchanged, only timing.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if text.isascii():
-            _parse_ascii_chunk(text, walk, line_base, offset_base)
-        else:
-            _parse_mixed(text, walk, line_base, offset_base)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return ParsedSegment(
-        entries=walk.entries, latest=walk.latest, min_parsed=walk.min_parsed
-    )
-
-
-def _parse_mixed(
-    text: str, walk: _Walk, line_base: int, offset_base: int
-) -> None:
+def _parse_mixed(text: str, walk: _Walk) -> None:
     """Non-ASCII text: vectorise maximal ASCII line runs, scalar the rest.
 
     Byte offsets are taken from the surrogatepass encoding of each line —
@@ -529,7 +474,7 @@ def _parse_mixed(
     """
     lines = text.split("\n")
     offsets = []
-    running = offset_base
+    running = 0
     for line in lines:
         offsets.append(running)
         running += len(line.encode("utf-8", errors="surrogatepass")) + 1
@@ -540,12 +485,10 @@ def _parse_mixed(
             j = i
             while j < len(lines) and lines[j].isascii():
                 j += 1
-            _parse_ascii_chunk(
-                "\n".join(lines[i:j]), walk, line_base + i, offsets[i]
-            )
+            _parse_ascii_chunk("\n".join(lines[i:j]), walk, i, offsets[i])
             i = j
         else:
-            walk.scalar_line(lines[i], line_base + 1 + i, offsets[i])
+            walk.scalar_line(lines[i], 1 + i, offsets[i])
             i += 1
 
 
@@ -555,6 +498,28 @@ def parse_log_columnar(
     strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> List[CollectedEntry]:
-    """Vectorised twin of ``SyslogCollector.parse_log`` (whole-file parse)."""
-    segment = parse_log_segment_columnar(text, strict=strict, report=report)
-    return segment.entries
+    """Vectorised twin of ``SyslogCollector.parse_log``.
+
+    Same signature, same results, same ledger records, same strict-mode
+    exceptions — see the module docstring for how the identity is proven
+    line by line.  Falls back to the scalar parser wholesale when numpy is
+    unavailable.
+    """
+    if np is None:
+        return SyslogCollector.parse_log(text, strict=strict, report=report)
+    walk = _Walk(strict=strict, report=report)
+    # The parse allocates one tracked object per line and they all survive
+    # to the end, so the generational collector can only waste time
+    # re-walking the growing heap (measured at >2x the whole parse).  Pause
+    # it for the duration; collection semantics are unchanged, only timing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if text.isascii():
+            _parse_ascii_chunk(text, walk, 0, 0)
+        else:
+            _parse_mixed(text, walk)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return walk.entries

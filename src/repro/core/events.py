@@ -29,9 +29,9 @@ SOURCE_ISIS_IP = "isis-ip"
 
 # --------------------------------------------------------- canonical order
 # The three canonical sort keys every execution mode must order by.  All
-# five engines (batch, stream, parallel, columnar, service) sort the same
-# streams with the same keys — drifting tie-breakers are exactly how
-# jobs=N or a resumed stream would silently diverge from the reference
+# four drivers (batch, columnar, stream, service) sort the same streams
+# with the same keys — drifting tie-breakers are exactly how a second
+# driver or a resumed stream would silently diverge from the reference
 # run, so the keys live here once and `engine-spec.json` pins them.
 def message_sort_key(message: "LinkMessage") -> Tuple[float, str, str]:
     """``(time, link, reporter)`` — the message-stream order."""

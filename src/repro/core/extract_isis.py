@@ -160,8 +160,8 @@ def classify_changes(
 
     Returns ``(is_messages, ip_messages, multilink_skipped,
     unresolved_count)`` in change order.  Classification is per-change and
-    context-free, so the parallel pipeline can fan it over change ranges
-    and concatenate the results.
+    context-free: each change is classified on its own against the
+    resolver.
     """
     is_messages: List[LinkMessage] = []
     ip_messages: List[LinkMessage] = []
@@ -180,24 +180,24 @@ def classify_changes(
     return is_messages, ip_messages, multilink, unresolved
 
 
-def extract_isis_from_changes(
-    changes: Sequence[ReachabilityChange],
-    rejected_lsps: int,
+def extract_isis(
+    lsp_records: Sequence[Tuple[float, bytes]],
     resolver: LinkResolver,
     horizon_start: float,
     horizon_end: float,
     config: Optional[IsisExtractionConfig] = None,
+    *,
+    strict: bool = True,
+    report: Optional[IngestReport] = None,
 ) -> IsisExtraction:
-    """The analysis half of the extraction, once a replay produced changes.
-
-    :func:`extract_isis` is ``replay_lsp_records`` followed by this; the
-    parallel pipeline instead produces the change stream via sharded
-    decoding plus a compact replay and joins back here.
-    """
+    """Run the full IS-IS reconstruction (see module docstring)."""
+    listener, changes = replay_lsp_records(
+        lsp_records, strict=strict, report=report
+    )
     if config is None:
         config = IsisExtractionConfig()
     result = IsisExtraction()
-    result.rejected_lsps = rejected_lsps
+    result.rejected_lsps = listener.rejected_count
 
     (
         result.is_messages,
@@ -224,27 +224,3 @@ def extract_isis_from_changes(
         source=SOURCE_ISIS_IS,
     )
     return result
-
-
-def extract_isis(
-    lsp_records: Sequence[Tuple[float, bytes]],
-    resolver: LinkResolver,
-    horizon_start: float,
-    horizon_end: float,
-    config: Optional[IsisExtractionConfig] = None,
-    *,
-    strict: bool = True,
-    report: Optional[IngestReport] = None,
-) -> IsisExtraction:
-    """Run the full IS-IS reconstruction (see module docstring)."""
-    listener, changes = replay_lsp_records(
-        lsp_records, strict=strict, report=report
-    )
-    return extract_isis_from_changes(
-        changes,
-        listener.rejected_count,
-        resolver,
-        horizon_start,
-        horizon_end,
-        config,
-    )

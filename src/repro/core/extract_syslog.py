@@ -138,9 +138,8 @@ def classify_entries(
 
     Returns ``(isis_messages, physical_messages, unparsed_count,
     unresolved_count)`` in entry order.  Classification is per-entry and
-    context-free, which is what lets the parallel pipeline fan it over
-    entry ranges and concatenate: the concatenation of classified ranges
-    equals the classification of the concatenation.
+    context-free: each entry is classified on its own against the
+    resolver.
     """
     isis_messages: List[LinkMessage] = []
     physical_messages: List[LinkMessage] = []

@@ -19,7 +19,6 @@ expensive steps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -98,7 +97,6 @@ def run_analysis(
     *,
     strict: bool = True,
     report: Optional[IngestReport] = None,
-    jobs: int = 1,
     ingest: str = "scalar",
 ) -> AnalysisResult:
     """Run the complete methodology against one dataset.
@@ -112,33 +110,14 @@ def run_analysis(
     analysis completes on everything salvageable.  On clean inputs both
     modes produce byte-identical results.
 
-    ``jobs`` selects the execution engine: ``1`` (the default) runs this
-    sequential code path; ``jobs > 1`` dispatches to
-    :func:`repro.parallel.pipeline.run_parallel_analysis`, which shards
-    the work across a process pool and merges back results byte-identical
-    to the sequential run (the contract ``tests/test_parallel_pipeline.py``
-    enforces).  ``jobs=0`` resolves to the host's CPU count.  ``jobs``
-    never changes results, only wall-clock.
-
     ``ingest`` selects the syslog parse engine: ``"scalar"`` is the
     per-line reference parser, ``"columnar"`` the vectorised fast path of
     :mod:`repro.columnar`, contractually identical on every input (and
-    silently equivalent to scalar when numpy is unavailable).  Like
-    ``jobs``, it never changes results.
+    silently equivalent to scalar when numpy is unavailable).  It never
+    changes results, only wall-clock.
     """
     if ingest not in ("scalar", "columnar"):
         raise ValueError(f"unknown ingest engine {ingest!r}")
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError("jobs must be non-negative")
-    if jobs > 1:
-        from repro.parallel.pipeline import run_parallel_analysis
-
-        return run_parallel_analysis(
-            dataset, options, strict=strict, report=report, jobs=jobs,
-            ingest=ingest,
-        )
     if options is None:
         options = AnalysisOptions()
     if not strict and report is None:

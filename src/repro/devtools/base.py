@@ -29,8 +29,7 @@ from repro.devtools.suppress import FileSuppressions, parse_suppressions
 #: determinism rules are scoped to these (plus any file outside the
 #: ``repro`` package, so fixtures and scripts are always checked).
 OUTPUT_PACKAGES = (
-    "core", "stream", "simulation", "parallel", "fleet", "columnar",
-    "service",
+    "core", "stream", "simulation", "fleet", "columnar", "service",
 )
 
 #: Layers that manipulate event time; the event-time rules are scoped here.

@@ -104,8 +104,8 @@ class CallGraph:
         self.edges_from: Dict[str, List[CallEdge]] = {}
         self._imports: Dict[str, ImportMap] = {}
         self._module_names: Dict[str, str] = {}
-        #: Package re-exports: ``repro.columnar.parse_log_segment_columnar``
-        #: -> ``repro.columnar.ingest.parse_log_segment_columnar`` for a
+        #: Package re-exports: ``repro.columnar.parse_log_columnar``
+        #: -> ``repro.columnar.ingest.parse_log_columnar`` for a
         #: ``from repro.columnar.ingest import ...`` in the package
         #: ``__init__``.  Without these, a call imported through the
         #: package facade resolves to a qualname the graph never defines

@@ -10,7 +10,6 @@ from repro.devtools.rules import (  # noqa: F401
     exceptions,
     flowrules,
     horizonrules,
-    mergerules,
     mutability,
     parallelsafety,
     spinerules,
@@ -20,4 +19,4 @@ from repro.devtools.rules import (  # noqa: F401
 #: Bump whenever rule semantics change in a way that invalidates cached
 #: per-file results (the on-disk lint cache keys on this + the rule ids
 #: + the file bytes).
-RULESET_VERSION = "2026.08-spine2"
+RULESET_VERSION = "2026.10-four-drivers"

@@ -49,7 +49,7 @@ BARRIER_CALLS = frozenset(
         "scalar_line",
         "parse_syslog_line",
         "try_parse_syslog_line",
-        "parse_log_segment",
+        "parse_log",
     }
 )
 

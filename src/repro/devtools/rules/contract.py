@@ -36,8 +36,8 @@ from repro.devtools.flow.callgraph import CallGraph, get_callgraph
 #: Packages forming the ingestion surface (syslog/IS-IS readers, the
 #: stream sources, the batch pipeline, and the dataset loaders).
 CONTRACT_PACKAGES = (
-    "core", "stream", "syslog", "isis", "simulation", "parallel",
-    "fleet", "columnar", "service",
+    "core", "stream", "syslog", "isis", "simulation", "fleet",
+    "columnar", "service",
 )
 
 

@@ -1,15 +1,19 @@
 """Worker-purity rules (W001–W004).
 
-``run_analysis(dataset, jobs=N)`` promises byte-identity with
-``jobs=1``, and that promise rests on the functions shipped to pool
-workers being *pure plumbing*: no mutation of module globals or class
-attributes (the mutation happens in a forked process and silently
-vanishes — W001), no closing over open file handles or RNG instances
-(they do not survive pickling, or worse, they do and desynchronise —
-W002), no reads of module state that some function mutates at runtime
-(the worker sees whatever its process happens to hold — W003), and
-arguments/returns that actually pickle (W004, a structural walk via
-:mod:`repro.devtools.flow.picklewalk`).
+Two places hand work to other processes: ``repro lint --jobs N``
+fans per-file rule checks over a ``multiprocessing.Pool``
+(:mod:`repro.devtools.lint`), and the service supervisor runs each
+tenant's pipeline as a ``multiprocessing.Process`` target
+(:mod:`repro.service.supervisor`).  Both promise that the process
+boundary never changes a result, and that promise rests on the
+functions shipped to workers being *pure plumbing*: no mutation of
+module globals or class attributes (the mutation happens in a forked
+process and silently vanishes — W001), no closing over open file
+handles or RNG instances (they do not survive pickling, or worse, they
+do and desynchronise — W002), no reads of module state that some
+function mutates at runtime (the worker sees whatever its process
+happens to hold — W003), and arguments/returns that actually pickle
+(W004, a structural walk via :mod:`repro.devtools.flow.picklewalk`).
 
 The worker set is computed interprocedurally: every
 ``ProcessPoolExecutor``/``multiprocessing.Pool`` dispatch site and
@@ -716,8 +720,8 @@ class WorkerGlobalMutationRule(_WorkerRule):
         "A function reachable from a process-pool dispatch site that "
         "mutates module globals or class attributes does so in the "
         "worker's own process: the parent never sees the write, sibling "
-        "workers each see their own, and `jobs=N` silently diverges "
-        "from `jobs=1`."
+        "workers each see their own, and a pooled run silently diverges "
+        "from an in-process one."
     )
 
 
@@ -728,8 +732,8 @@ class WorkerHandleCaptureRule(_WorkerRule):
     rationale = (
         "Open file handles and RNG instances reached from a worker — "
         "via module globals, closures, or lambda dispatch — either fail "
-        "to pickle or fork into desynchronised copies; both break the "
-        "jobs=N ≡ jobs=1 identity contract."
+        "to pickle or fork into desynchronised copies; both make a "
+        "worker's result depend on which process computed it."
     )
 
 

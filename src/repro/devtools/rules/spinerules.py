@@ -1,8 +1,8 @@
-"""Semantic-drift rules (S401–S405): one engine, five executions.
+"""Semantic-drift rules (S401–S405): one engine, four executions.
 
 The repository runs the paper's funnel — merge → timeline → failure →
-sanitise → match → coverage → flaps — in five execution modes (batch,
-columnar, parallel, stream, service).  The comparison between syslog
+sanitise → match → coverage → flaps — in four execution modes (batch,
+columnar, stream, service).  The comparison between syslog
 and IS-IS is only meaningful while every mode computes the *same*
 semantics; these rules make that correspondence a checked property.
 Since the engine unification the post-ingest phases live once, in

@@ -21,7 +21,7 @@ alternative (`except: pass`) outright.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Channel labels.  They intentionally match the stream engine's channel
 #: vocabulary (:data:`repro.stream.sources.SYSLOG_CHANNEL` /
@@ -89,23 +89,6 @@ class ChannelLedger:
             self.first = record
         self.last = record
 
-    def merge_from(self, other: "ChannelLedger") -> None:
-        """Fold another ledger in, as if its drops were recorded here next.
-
-        Order matters for ``first``/``last``: callers merging sharded
-        ledgers must merge in source order (shard 0 first), which makes
-        the combined boundary samples identical to a sequential run's.
-        """
-        self.dropped += other.dropped
-        for reason in sorted(other.reasons):
-            self.reasons[reason] = (
-                self.reasons.get(reason, 0) + other.reasons[reason]
-            )
-        if self.first is None:
-            self.first = other.first  # reprolint: disable=M103 -- deliberate: the docstring contract requires folding shards in source order, making first/last identical to a sequential run
-        if other.last is not None:
-            self.last = other.last  # reprolint: disable=M103 -- deliberate: last-in-source-order under the documented in-order fold contract
-
     def to_json(self) -> Dict[str, object]:
         return {
             "dropped": self.dropped,
@@ -151,17 +134,6 @@ class IngestReport:
         if ledger is None:
             ledger = self.channels[name] = ChannelLedger()
         return ledger
-
-    def merge_from(self, other: "IngestReport") -> None:
-        """Fold another report in (see :meth:`ChannelLedger.merge_from`).
-
-        This is how the sharded ingestion path keeps one ledger: each
-        shard records into its own report, and the merge step folds them
-        back in shard order so counts, reasons, and the first/last
-        boundary samples all match what a sequential run records.
-        """
-        for name in sorted(other.channels):
-            self.channel(name).merge_from(other.channels[name])
 
     def dropped(self, channel: Optional[str] = None) -> int:
         """Total drops, overall or for one channel."""

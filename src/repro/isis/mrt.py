@@ -185,103 +185,6 @@ class MrtDumpReader:
     def read_all(self) -> List[Tuple[float, bytes]]:
         return list(self)
 
-    def record_offsets(self) -> List[int]:
-        """Byte offset of every well-formed record, by scanning headers.
-
-        This is the dump format's substitute for an index: record ``i``
-        starts at ``record_offsets()[i]``, which is what lets a sharded
-        reader hand each worker a ``(start_offset, start_index, count)``
-        range instead of the whole file.  The scan validates structure but
-        does no decoding, so it is far cheaper than a full read.
-        Corruption handling follows the reader's mode: strict raises,
-        salvage stops at the first structural error.
-        """
-        if self._bad_magic:
-            return []
-        offsets: List[int] = []
-        index = 0
-        offset = len(MAGIC)
-        while True:
-            header = self._stream.read(_RECORD_HEADER.size)
-            if not header:
-                return offsets
-            if len(header) < _RECORD_HEADER.size:
-                self._fail(
-                    "truncated-header",
-                    f"truncated record header ({len(header)} of "
-                    f"{_RECORD_HEADER.size} bytes)",
-                    index,
-                    offset,
-                    header,
-                )
-                return offsets
-            _, length = _RECORD_HEADER.unpack(header)
-            if length > _MAX_RECORD:
-                self._fail(
-                    "oversize-record",
-                    f"record length {length} exceeds maximum payload size "
-                    f"{_MAX_RECORD} (corrupt length field)",
-                    index,
-                    offset,
-                    header,
-                )
-                return offsets
-            payload = self._stream.read(length)
-            if len(payload) < length:
-                self._fail(
-                    "truncated-payload",
-                    f"truncated record payload ({len(payload)} of "
-                    f"{length} bytes)",
-                    index,
-                    offset,
-                    payload[:16],
-                )
-                return offsets
-            offsets.append(offset)
-            index += 1
-            offset += _RECORD_HEADER.size + length
-
-    @classmethod
-    def read_range(
-        cls,
-        path: Union[str, Path],
-        start_offset: int,
-        count: int,
-    ) -> List[Tuple[float, bytes]]:
-        """Read ``count`` records starting at a known byte offset.
-
-        ``start_offset`` must come from :meth:`record_offsets` (or be
-        ``len(MAGIC)`` for record 0): the format is not self-synchronising,
-        so seeking anywhere else reads garbage.  This is the worker half
-        of file-based sharded decoding — each worker opens the archive
-        itself and reads only its range, so the parent never ships record
-        payloads through the pool.
-        """
-        records: List[Tuple[float, bytes]] = []
-        with open(path, "rb") as stream:
-            stream.seek(start_offset)
-            for index in range(count):
-                header = stream.read(_RECORD_HEADER.size)
-                if len(header) < _RECORD_HEADER.size:
-                    raise MrtFormatError(
-                        f"range read past end of archive at byte offset "
-                        f"{start_offset} + {index} record(s)"
-                    )
-                time, length = _RECORD_HEADER.unpack(header)
-                if length > _MAX_RECORD:
-                    raise MrtFormatError(
-                        f"record length {length} exceeds maximum payload "
-                        f"size {_MAX_RECORD} (bad start offset?)"
-                    )
-                payload = stream.read(length)
-                if len(payload) < length:
-                    raise MrtFormatError(
-                        f"truncated record payload ({len(payload)} of "
-                        f"{length} bytes) in range read"
-                    )
-                records.append((time, payload))
-        return records
-
     def close(self) -> None:
         self._stream.close()
 

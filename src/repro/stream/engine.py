@@ -15,7 +15,7 @@ whole §3–§4 methodology online:
   :class:`~repro.engine.flaps.FlapDetector`.
 
 The machines are the same canonical :mod:`repro.engine` core the batch,
-columnar, parallel and service modes drive; this engine is the
+columnar and service modes drive; this engine is the
 watermark-by-watermark driver.
 
 Every *drain* (a periodic sweep, plus the end-of-stream flush) advances

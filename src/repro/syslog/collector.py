@@ -39,24 +39,6 @@ class CollectedEntry:
     entry: Optional[CiscoLogEntry]
 
 
-@dataclass
-class ParsedSegment:
-    """The result of parsing one contiguous piece of a log file.
-
-    ``latest`` is the running maximum timestamp after the segment (seeded
-    from the ``after`` the segment was parsed with), ``min_parsed`` the
-    smallest timestamp among the segment's parsed entries (``None`` when
-    nothing parsed).  Together they let the sharded ingestion path decide
-    whether a segment parsed without its predecessors' context is
-    nevertheless identical to a sequential parse — see
-    :func:`repro.parallel.merge.merge_parsed_segments`.
-    """
-
-    entries: List[CollectedEntry]
-    latest: float
-    min_parsed: Optional[float]
-
-
 class SyslogCollector:
     """Accumulates delivered datagrams and round-trips them through text."""
 
@@ -112,40 +94,10 @@ class SyslogCollector:
         line number, and byte offset, and parsing continues.  On a clean
         log both modes return identical entries.
         """
-        segment = SyslogCollector.parse_log_segment(
-            text, strict=strict, report=report
-        )
-        return segment.entries
-
-    @staticmethod
-    def parse_log_segment(
-        text: str,
-        *,
-        strict: bool = True,
-        report: Optional[IngestReport] = None,
-        after: float = 0.0,
-        line_base: int = 0,
-        offset_base: int = 0,
-    ) -> ParsedSegment:
-        """Parse one contiguous, line-aligned piece of a log file.
-
-        This is :meth:`parse_log` generalised to a mid-file segment:
-        ``after`` seeds the year-resolution context (the latest timestamp
-        parsed before the segment), and ``line_base``/``offset_base`` are
-        the line count and byte length of the text preceding the segment,
-        so drop-ledger records carry file-global line numbers and byte
-        offsets.  With the defaults this is exactly a whole-file parse.
-
-        The sharded ingestion path parses segments with ``after=0.0`` in
-        parallel and re-parses (rarely) where the missing context could
-        have mattered; :func:`repro.parallel.merge.merge_parsed_segments`
-        documents the exact condition.
-        """
         entries: List[CollectedEntry] = []
-        latest = after
-        min_parsed: Optional[float] = None
-        offset = offset_base
-        for line_number, line in enumerate(text.split("\n"), start=line_base + 1):
+        latest = 0.0
+        offset = 0
+        for line_number, line in enumerate(text.split("\n"), start=1):
             line_offset = offset
             offset += len(line.encode("utf-8", errors="surrogatepass")) + 1
             if not line.strip():
@@ -165,8 +117,6 @@ class SyslogCollector:
                         )
                     continue
             latest = max(latest, message.timestamp)
-            if min_parsed is None or message.timestamp < min_parsed:
-                min_parsed = message.timestamp
             entries.append(
                 CollectedEntry(
                     generated_time=message.timestamp,
@@ -175,7 +125,7 @@ class SyslogCollector:
                     entry=parse_cisco_body(message.hostname, message.body),
                 )
             )
-        return ParsedSegment(entries=entries, latest=latest, min_parsed=min_parsed)
+        return entries
 
     @classmethod
     def read_log(

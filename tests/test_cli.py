@@ -128,48 +128,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate", "--seed", "1"])
 
-
-class TestJobsAuto:
-    """`analyze --jobs 0` (the default) sizes the pool to the host."""
-
     def test_analyze_defaults(self):
         from repro.cli import _build_parser
 
         args = _build_parser().parse_args(["analyze", "campaign/"])
-        assert args.jobs == 0
         assert args.ingest == "scalar"
-
-    def test_jobs_zero_resolves_to_cpu_count(self, small_dataset, monkeypatch):
-        from repro import run_analysis
-
-        seen = {}
-
-        def fake_parallel(dataset, options=None, *, strict=True, report=None,
-                          jobs=0, ingest="scalar"):
-            seen["jobs"] = jobs
-            return run_analysis(dataset, strict=strict, ingest=ingest)
-
-        monkeypatch.setattr(
-            "repro.parallel.pipeline.run_parallel_analysis", fake_parallel
-        )
-        monkeypatch.setattr("repro.core.pipeline.os.cpu_count", lambda: 3)
-        run_analysis(small_dataset, jobs=0)
-        assert seen["jobs"] == 3
-
-    def test_jobs_zero_sequential_on_one_core(self, small_dataset,
-                                              small_analysis, monkeypatch):
-        from repro import run_analysis
-
-        monkeypatch.setattr("repro.core.pipeline.os.cpu_count", lambda: 1)
-        result = run_analysis(small_dataset, jobs=0)
-        assert result.syslog_failures == small_analysis.syslog_failures
-        assert result.isis_failures == small_analysis.isis_failures
-
-    def test_negative_jobs_rejected(self, small_dataset):
-        from repro import run_analysis
-
-        with pytest.raises(ValueError, match="jobs"):
-            run_analysis(small_dataset, jobs=-1)
+        assert not hasattr(args, "jobs")
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["analyze", "campaign/", "--jobs", "2"])
 
 
 class TestServe:

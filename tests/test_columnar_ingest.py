@@ -1,8 +1,8 @@
 """The columnar ingest contract: byte-identical to the scalar parser.
 
 ``repro.columnar`` is only allowed to be fast.  Every test here compares
-the vectorised batch parse against ``SyslogCollector.parse_log_segment``
-— entries, watermarks, drop ledgers, strict-mode exceptions — on inputs
+the vectorised batch parse against ``SyslogCollector.parse_log``
+— entries, drop ledgers, strict-mode exceptions — on inputs
 chosen to hit the classifier's escape hatches: year rollover, Feb 29,
 backdated lines at the slack boundary, truncation, binary garbage, and
 non-ASCII text.  The Hypothesis fuzz then quantifies over arbitrary
@@ -15,6 +15,7 @@ pin the fallback path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -27,10 +28,10 @@ from repro.columnar import (
     COLUMNAR_AVAILABLE,
     available_backends,
     parse_log_columnar,
-    parse_log_segment_columnar,
 )
+from repro.faults.chaos import analysis_signature
 from repro.faults.injectors import inject_garbage_lines, truncate_log_lines
-from repro.faults.ledger import IngestReport
+from repro.faults.ledger import CHANNEL_SYSLOG, IngestReport
 from repro.syslog.collector import SyslogCollector
 from repro.syslog.message import Facility, Severity, SyslogMessage
 
@@ -97,30 +98,20 @@ def ledger_json(report: IngestReport) -> str:
     return json.dumps(payload, default=str, sort_keys=True)
 
 
-def assert_identical(text: str, *, strict: bool, after: float = 0.0) -> None:
-    """The full contract, including seeded bases and raised exceptions."""
+def assert_identical(text: str, *, strict: bool) -> None:
+    """The full contract: entries, ledger records and raised exceptions."""
     scalar_report, columnar_report = IngestReport(), IngestReport()
     scalar_exc = columnar_exc = None
     scalar = columnar = None
     try:
-        scalar = SyslogCollector.parse_log_segment(
-            text,
-            strict=strict,
-            report=None if strict else scalar_report,
-            after=after,
-            line_base=3,
-            offset_base=17,
+        scalar = SyslogCollector.parse_log(
+            text, strict=strict, report=None if strict else scalar_report
         )
     except Exception as exc:  # noqa: BLE001 - identity includes the type
         scalar_exc = (type(exc).__name__, str(exc))
     try:
-        columnar = parse_log_segment_columnar(
-            text,
-            strict=strict,
-            report=None if strict else columnar_report,
-            after=after,
-            line_base=3,
-            offset_base=17,
+        columnar = parse_log_columnar(
+            text, strict=strict, report=None if strict else columnar_report
         )
     except Exception as exc:  # noqa: BLE001
         columnar_exc = (type(exc).__name__, str(exc))
@@ -128,9 +119,7 @@ def assert_identical(text: str, *, strict: bool, after: float = 0.0) -> None:
     assert scalar_exc == columnar_exc
     if scalar_exc is not None:
         return
-    assert scalar.entries == columnar.entries
-    assert scalar.latest == columnar.latest
-    assert scalar.min_parsed == columnar.min_parsed
+    assert scalar == columnar
     if not strict:
         assert ledger_json(scalar_report) == ledger_json(columnar_report)
 
@@ -194,10 +183,12 @@ def test_random_bytes_identity():
     assert_identical(blob, strict=False)
 
 
-def test_after_seeding_identity():
+def test_late_start_identity():
+    """A log that opens 13 months into the study resolves its years from
+    a cold context in both engines alike."""
     rng = random.Random(29)
     text = clean_corpus(rng, 200, start=400 * 86400.0)
-    assert_identical(text, strict=False, after=400 * 86400.0)
+    assert_identical(text, strict=False)
 
 
 def test_fault_injected_ledger_equivalence():
@@ -260,13 +251,55 @@ def test_analysis_identity_across_engines(seed):
     assert scalar.flap_episodes == columnar.flap_episodes
 
 
-def test_parallel_columnar_identity():
-    dataset = run_scenario(ScenarioConfig(seed=7, duration_days=5.0))
-    sequential = run_analysis(dataset, ingest="scalar")
-    parallel = run_analysis(dataset, ingest="columnar", jobs=2)
-    assert sequential.syslog_failures == parallel.syslog_failures
-    assert sequential.isis_failures == parallel.isis_failures
-    assert sequential.flap_episodes == parallel.flap_episodes
+def damage(dataset):
+    """Garbage syslog lines plus one LSP record truncated mid-PDU."""
+    lines = dataset.syslog_text.split("\n")
+    lines.insert(50, "complete garbage not a syslog line")
+    lines.insert(900, "<999>Nov  3 10:00:00.000 rtr1 oops")
+    lines.insert(1700, "\x00\x01\x02 binary junk")
+    records = list(dataset.lsp_records)
+    time, raw = records[30]
+    records[30] = (time, raw[: len(raw) // 2])
+    return dataclasses.replace(
+        dataset, syslog_text="\n".join(lines), lsp_records=records
+    )
+
+
+def test_lenient_damaged_artifacts_identity(small_dataset):
+    """Both engines quarantine the same records, and the ledger's
+    ``first``/``last`` samples bracket the damage in file order."""
+    damaged = damage(small_dataset)
+    reports = {"scalar": IngestReport(), "columnar": IngestReport()}
+    results = {
+        ingest: run_analysis(
+            damaged, strict=False, report=reports[ingest], ingest=ingest
+        )
+        for ingest in reports
+    }
+    assert analysis_signature(results["columnar"]) == analysis_signature(
+        results["scalar"]
+    )
+    assert ledger_json(reports["columnar"]) == ledger_json(reports["scalar"])
+    ledger = reports["scalar"].channels[CHANNEL_SYSLOG]
+    assert ledger.dropped == 3
+    assert ledger.first.sample == "complete garbage not a syslog line"
+    assert ledger.first.index == 51
+    assert ledger.last.sample == "\x00\x01\x02 binary junk"
+    assert ledger.last.index == 1701
+    assert reports["scalar"].dropped() == 4
+
+
+def test_strict_damaged_artifacts_same_exception(small_dataset):
+    records = list(small_dataset.lsp_records)
+    time, raw = records[30]
+    records[30] = (time, raw[: len(raw) // 2])
+    damaged = dataclasses.replace(small_dataset, lsp_records=records)
+    raised = {}
+    for ingest in ("scalar", "columnar"):
+        with pytest.raises(Exception) as error:
+            run_analysis(damaged, strict=True, ingest=ingest)
+        raised[ingest] = (type(error.value), str(error.value))
+    assert raised["columnar"] == raised["scalar"]
 
 
 def test_unknown_ingest_rejected():

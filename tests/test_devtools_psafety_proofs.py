@@ -1,4 +1,4 @@
-"""AST-injection proofs for the parallel-safety tier, on the real code.
+"""AST-injection proofs for the worker-safety tier, on the real code.
 
 Style of ``tests/test_devtools_flow_proofs.py``: each test takes the
 *shipped* source of a real module, injects the bug class its rule
@@ -6,10 +6,10 @@ family exists for into a copy of the AST, and shows the rule fires —
 paired with a shipped-tree check proving the finding is the injection,
 not background noise.
 
-* W001/W004 — worker impurity injected into ``parallel/workers.py`` /
-  ``parallel/pipeline.py``, found through the real dispatch sites;
-* M101–M103 — the canonical sort severed in ``parallel/merge.py``,
-  plus synthetic order-dependent merges appended to it;
+* W001/W004 — worker impurity injected into the ``repro lint --jobs``
+  pool worker in ``devtools/lint.py`` and the tenant worker the service
+  supervisor spawns (``service/worker.py``), found through the real
+  dispatch sites;
 * H201–H203 — the PR 6 bug class: horizon guards dropped from
   ``fleet/generate.py``, unclipped generators appended to
   ``stream/engine.py``;
@@ -25,9 +25,9 @@ from repro.devtools.base import Project, REGISTRY, SourceModule
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-WORKERS_PATH = SRC / "repro" / "parallel" / "workers.py"
-PIPELINE_PATH = SRC / "repro" / "parallel" / "pipeline.py"
-MERGE_PATH = SRC / "repro" / "parallel" / "merge.py"
+LINT_PATH = SRC / "repro" / "devtools" / "lint.py"
+TENANT_WORKER_PATH = SRC / "repro" / "service" / "worker.py"
+SUPERVISOR_PATH = SRC / "repro" / "service" / "supervisor.py"
 GENERATE_PATH = SRC / "repro" / "fleet" / "generate.py"
 ENGINE_PATH = SRC / "repro" / "stream" / "engine.py"
 INGEST_PATH = SRC / "repro" / "columnar" / "ingest.py"
@@ -61,146 +61,67 @@ def append_source(source: str, injected: str) -> str:
 
 # ------------------------------------------------------------- W001
 def test_injected_global_mutation_in_workers_trips_w001():
-    """A module-dict write planted inside ``_process_link`` is found
-    through the *real* dispatch chain: ``pipeline.run_parallel_analysis``
-    submits ``process_link_chunk``, which calls ``_process_link``."""
-    tree = ast.parse(WORKERS_PATH.read_text(encoding="utf-8"))
-    tree.body.extend(ast.parse("_SHARD_MEMO = {}").body)
+    """A module-dict write planted inside ``_lint_file_worker`` is found
+    through the *real* dispatch site: ``lint_project`` hands it to
+    ``multiprocessing.Pool.imap_unordered``."""
+    tree = ast.parse(LINT_PATH.read_text(encoding="utf-8"))
+    tree.body.extend(ast.parse("_FILE_MEMO = {}").body)
     planted = 0
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.FunctionDef)
-            and node.name == "_process_link"
+            and node.name == "_lint_file_worker"
         ):
             node.body.insert(
-                0, ast.parse("_SHARD_MEMO[item.link] = item.link").body[0]
+                0, ast.parse("_FILE_MEMO[job[0]] = job[0]").body[0]
             )
             planted += 1
     assert planted == 1
     ast.fix_missing_locations(tree)
-    modules = src_modules(WORKERS_PATH, ast.unparse(tree))
-    hits = run_rule("W001", modules, WORKERS_PATH)
+    modules = src_modules(LINT_PATH, ast.unparse(tree))
+    hits = run_rule("W001", modules, LINT_PATH)
     assert hits, "W001 should fire on the planted module-state write"
-    assert any("_process_link" in f.message for f in hits)
-    assert any("_SHARD_MEMO" in f.message for f in hits)
+    assert any("_lint_file_worker" in f.message for f in hits)
+    assert any("_FILE_MEMO" in f.message for f in hits)
 
 
 def test_shipped_workers_are_clean_for_w_rules():
-    modules = src_modules(WORKERS_PATH, WORKERS_PATH.read_text("utf-8"))
-    for rule_id in ("W001", "W002", "W003", "W004"):
-        assert run_rule(rule_id, modules, WORKERS_PATH) == []
+    """Clean up to the in-line suppressions each file carries (the lint
+    worker's read of the rule registry is a justified W003)."""
+    for path in (LINT_PATH, TENANT_WORKER_PATH):
+        modules = src_modules(path, path.read_text("utf-8"))
+        module = next(m for m in modules if m.path == str(path))
+        for rule_id in ("W001", "W002", "W003", "W004"):
+            hits = run_rule(rule_id, modules, path)
+            assert [
+                f
+                for f in hits
+                if not module.suppressions.is_suppressed(rule_id, f.line)
+            ] == []
 
 
 # ------------------------------------------------------------- W004
-INJECTED_UNPICKLABLE_WORKER = '''
-def _injected_probe(channel: Iterator[str]) -> int:
-    return sum(1 for _ in channel)
-
-
-def _injected_fanout(paths):
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(_injected_probe, iter(p)) for p in paths]
-        return [f.result() for f in futures]
-'''
-
-
-def test_injected_unpicklable_worker_in_pipeline_trips_w004():
-    drifted = append_source(
-        PIPELINE_PATH.read_text(encoding="utf-8"),
-        INJECTED_UNPICKLABLE_WORKER,
+def test_unpicklable_tenant_worker_signature_trips_w004():
+    """The supervisor spawns ``tenant_worker_main`` as a
+    ``multiprocessing.Process`` target; an ``Iterator`` in its signature
+    could never cross the spawn, and W004 says so at the definition."""
+    source = TENANT_WORKER_PATH.read_text(encoding="utf-8")
+    shipped = "def tenant_worker_main(config: Dict[str, Any]) -> None:"
+    assert shipped in source
+    drifted = source.replace(
+        shipped, "def tenant_worker_main(config: Iterator[str]) -> None:"
     )
-    modules = src_modules(PIPELINE_PATH, drifted)
-    hits = run_rule("W004", modules, PIPELINE_PATH)
+    modules = src_modules(TENANT_WORKER_PATH, drifted)
+    hits = run_rule("W004", modules, TENANT_WORKER_PATH)
     assert hits, "W004 should fire on the Iterator-annotated worker"
     assert any("Iterator" in f.message for f in hits)
-    assert any("_injected_probe" in f.message for f in hits)
+    assert any("tenant_worker_main" in f.message for f in hits)
 
 
-def test_shipped_pipeline_is_clean_for_w_rules():
-    modules = src_modules(PIPELINE_PATH, PIPELINE_PATH.read_text("utf-8"))
+def test_shipped_supervisor_is_clean_for_w_rules():
+    modules = src_modules(SUPERVISOR_PATH, SUPERVISOR_PATH.read_text("utf-8"))
     for rule_id in ("W001", "W002", "W003", "W004"):
-        assert run_rule(rule_id, modules, PIPELINE_PATH) == []
-
-
-# ------------------------------------------------------------- M101
-def test_severed_sort_in_merge_transitions_trips_m101():
-    tree = ast.parse(MERGE_PATH.read_text(encoding="utf-8"))
-    removed = 0
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.FunctionDef)
-            and node.name == "merge_transitions"
-        ):
-            kept = []
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Call)
-                    and isinstance(stmt.value.func, ast.Attribute)
-                    and stmt.value.func.attr == "sort"
-                ):
-                    removed += 1
-                    continue
-                kept.append(stmt)
-            node.body = kept
-    assert removed == 1, "expected exactly one .sort(...) to sever"
-    modules = src_modules(MERGE_PATH, ast.unparse(tree))
-    hits = run_rule("M101", modules, MERGE_PATH)
-    assert any(
-        "merged" in f.snippet and "per_link" in f.snippet for f in hits
-    ), "M101 should fire on the now-unsorted flatten"
-
-
-def test_shipped_merge_has_only_the_justified_m101():
-    """The one in-tree flatten-without-sort is ``collect_link_results``,
-    whose shard order is already canonical (and suppressed in-line with
-    that justification); nothing else may match."""
-    modules = src_modules(MERGE_PATH, MERGE_PATH.read_text("utf-8"))
-    hits = run_rule("M101", modules, MERGE_PATH)
-    assert len(hits) == 1
-    assert "chunk_results" in hits[0].snippet
-
-
-# ------------------------------------------------------- M102 / M103
-INJECTED_DICT_MERGE = '''
-def _injected_render_totals(totals: Dict[str, int], out):
-    for link in totals:
-        out.append(link)
-    return out
-'''
-
-INJECTED_FOLD = '''
-class _InjectedLedger:
-
-    def merge_from(self, other):
-        self.newest = other.newest
-'''
-
-
-def test_injected_dict_iteration_in_merge_trips_m102():
-    drifted = append_source(
-        MERGE_PATH.read_text(encoding="utf-8"), INJECTED_DICT_MERGE
-    )
-    modules = src_modules(MERGE_PATH, drifted)
-    hits = run_rule("M102", modules, MERGE_PATH)
-    assert hits, "M102 should fire on the order-sensitive dict loop"
-    assert any("for link in totals" in f.snippet for f in hits)
-
-
-def test_injected_noncommutative_fold_in_merge_trips_m103():
-    drifted = append_source(
-        MERGE_PATH.read_text(encoding="utf-8"), INJECTED_FOLD
-    )
-    modules = src_modules(MERGE_PATH, drifted)
-    hits = run_rule("M103", modules, MERGE_PATH)
-    assert hits, "M103 should fire on the last-shard-wins overwrite"
-    assert any("newest" in f.message for f in hits)
-
-
-def test_shipped_merge_is_clean_for_m102_m103():
-    modules = src_modules(MERGE_PATH, MERGE_PATH.read_text("utf-8"))
-    assert run_rule("M102", modules, MERGE_PATH) == []
-    assert run_rule("M103", modules, MERGE_PATH) == []
+        assert run_rule(rule_id, modules, SUPERVISOR_PATH) == []
 
 
 # ------------------------------------------------------------- H202

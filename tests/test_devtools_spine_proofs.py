@@ -7,13 +7,13 @@ paired with shipped-tree checks proving the finding is the injection,
 not background noise.
 
 * S401 — the flap phase deleted from ``core/pipeline.py`` (an engine
-  quietly dropping a funnel stage), and a parallel-only ingest twin
+  quietly dropping a funnel stage), and the columnar-only ingest parser
   called from the streaming engine (a cross-mode impl leak);
 * S402 — the merge window replaced by a literal ``300.0`` in
-  ``stream/engine.py``, and a non-canonical sort key planted in
-  ``parallel/pipeline.py``;
-* S403 — the sanitise/match stages swapped in
-  ``parallel/workers.py``, reached through the real dispatch chain;
+  ``stream/engine.py``, and a non-canonical failure sort key planted
+  in the same engine's final report;
+* S403 — the sanitise/match stages swapped in ``run_analysis``
+  (``core/pipeline.py``);
 * S404 — a new function calling the flap phase from a module no
   execution mode reaches;
 * S405 — a re-grown private twin registered for an engine-core phase:
@@ -33,8 +33,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 PIPELINE_PATH = SRC / "repro" / "core" / "pipeline.py"
 ENGINE_PATH = SRC / "repro" / "stream" / "engine.py"
-PARALLEL_PATH = SRC / "repro" / "parallel" / "pipeline.py"
-WORKERS_PATH = SRC / "repro" / "parallel" / "workers.py"
 SANITIZE_PATH = SRC / "repro" / "engine" / "sanitize.py"
 FLAPPING_PATH = SRC / "repro" / "core" / "flapping.py"
 STATS_PATH = SRC / "repro" / "core" / "statistics.py"
@@ -110,8 +108,8 @@ def test_dropped_flap_phase_in_pipeline_trips_s401():
 
 
 def test_cross_mode_impl_leak_in_engine_trips_s401():
-    """The streaming engine calling the parallel-only segment parser is
-    an implementation no stream-mode correspondence registers."""
+    """The streaming engine calling the columnar-only parser is an
+    implementation no stream-mode correspondence registers."""
     source = ENGINE_PATH.read_text(encoding="utf-8")
     tree = ast.parse(source)
     planted = 0
@@ -121,8 +119,8 @@ def test_cross_mode_impl_leak_in_engine_trips_s401():
             and node.name == "stream_dataset"
         ):
             node.body[:0] = ast.parse(
-                "from repro.syslog.collector import SyslogCollector\n"
-                "SyslogCollector.parse_log_segment('')\n"
+                "from repro.columnar.ingest import parse_log_columnar\n"
+                "parse_log_columnar('')\n"
             ).body
             planted += 1
     assert planted == 1
@@ -131,7 +129,7 @@ def test_cross_mode_impl_leak_in_engine_trips_s401():
     hits = run_rule("S401", modules, ENGINE_PATH)
     assert hits, "S401 should fire on the unregistered ingest twin"
     assert any(
-        "parse_log_segment" in f.message and "`stream`" in f.message
+        "parse_log_columnar" in f.message and "`stream`" in f.message
         for f in hits
     )
 
@@ -188,31 +186,29 @@ def test_hardcoded_merge_window_in_engine_trips_s402():
     )
 
 
-def test_noncanonical_sort_key_in_parallel_trips_s402():
-    source = PARALLEL_PATH.read_text(encoding="utf-8")
-    assert source.count("key=message_sort_key") >= 1
+def test_noncanonical_sort_key_in_stream_engine_trips_s402():
+    source = ENGINE_PATH.read_text(encoding="utf-8")
+    assert source.count("key = failure_sort_key") == 1
     drifted = source.replace(
-        "key=message_sort_key",
-        "key=lambda m: (m.reporter, m.time)",
-        1,
+        "key = failure_sort_key", "key = lambda f: (f.link, f.start)"
     )
-    modules = src_modules(PARALLEL_PATH, drifted)
-    hits = run_rule("S402", modules, PARALLEL_PATH)
-    assert hits, "S402 should fire on the reporter-first tie-breaker"
-    assert any("('reporter', 'time')" in f.message for f in hits)
+    modules = src_modules(ENGINE_PATH, drifted)
+    hits = run_rule("S402", modules, ENGINE_PATH)
+    assert hits, "S402 should fire on the link-first tie-breaker"
+    assert any("('link', 'start')" in f.message for f in hits)
 
 
 # ------------------------------------------------------------- S403
 class _StageSwapper(ast.NodeTransformer):
-    """Swap the sanitise/match stages inside ``_process_link``: the
-    drifted worker matches raw failures before sanitising them."""
+    """Swap the first sanitise and match stages inside ``run_analysis``:
+    the drifted pipeline matches failures before sanitising them."""
 
     def __init__(self):
         self.swapped = 0
 
     def visit_FunctionDef(self, node):
         self.generic_visit(node)
-        if node.name != "_process_link":
+        if node.name != "run_analysis":
             return node
 
         def stage_of(stmt):
@@ -240,17 +236,17 @@ class _StageSwapper(ast.NodeTransformer):
         return node
 
 
-def test_swapped_stages_in_workers_trips_s403():
+def test_swapped_stages_in_pipeline_trips_s403():
     swapper = _StageSwapper()
     tree = swapper.visit(
-        ast.parse(WORKERS_PATH.read_text(encoding="utf-8"))
+        ast.parse(PIPELINE_PATH.read_text(encoding="utf-8"))
     )
     assert swapper.swapped == 1
     ast.fix_missing_locations(tree)
-    modules = src_modules(WORKERS_PATH, ast.unparse(tree))
+    modules = src_modules(PIPELINE_PATH, ast.unparse(tree))
     # The out-of-order phase is recorded at its implementation's call
     # site — classify_failure inside the engine sanitiser — so the
-    # finding anchors there, not in the drifted worker module.
+    # finding anchors there, not in the drifted pipeline module.
     hits = run_rule("S403", modules, SANITIZE_PATH)
     assert hits, "S403 should fire on the match-before-sanitise order"
     assert any(

@@ -1,8 +1,8 @@
-"""Engine-core conformance: five entry points, one per-link funnel.
+"""Engine-core conformance: four entry points, one per-link funnel.
 
 The unification contract: batch (``run_analysis``), columnar
-(``ingest="columnar"``), parallel (``jobs>1``), stream
-(``stream_dataset``) and the tenant service (``run_worker``) are thin
+(``ingest="columnar"``), stream (``stream_dataset``) and the tenant
+service (``run_worker``) are thin
 drivers over the same ``repro.engine`` state machines, so the same input
 must come out *byte-identical* everywhere — the same Table 2/3
 renderings, the same isolation summaries, the same flap table, the same
@@ -54,7 +54,7 @@ SEED_CONFIGS = {
 }
 
 #: The AnalysisResult-producing drivers measured against batch.
-ANALYSIS_MODES = ("columnar", "parallel")
+ANALYSIS_MODES = ("columnar",)
 #: Every rendering the report CLI can produce from an AnalysisResult.
 TABLES = ("table2", "table3", "table4", "table5", "flaps")
 #: The subset computable from a StreamResult's retained products.
@@ -63,7 +63,7 @@ STREAM_TABLES = ("table3", "flaps")
 
 @pytest.fixture(scope="module", params=sorted(SEED_CONFIGS))
 def conformance(request, tmp_path_factory):
-    """One seed's dataset pushed through all five drivers, lenient mode.
+    """One seed's dataset pushed through all four drivers, lenient mode.
 
     Lenient mode is used everywhere so each driver produces a drop
     ledger to compare; on clean input lenient is byte-identical to
@@ -82,9 +82,6 @@ def conformance(request, tmp_path_factory):
         "batch": run_analysis(dataset, strict=False, report=tracked("batch")),
         "columnar": run_analysis(
             dataset, strict=False, report=tracked("columnar"), ingest="columnar"
-        ),
-        "parallel": run_analysis(
-            dataset, strict=False, report=tracked("parallel"), jobs=3
         ),
     }
     stream = stream_dataset(dataset, strict=False, report=tracked("stream"))
@@ -170,7 +167,7 @@ def assert_same_sanitization(mine, theirs):
 
 
 class TestAnalysisDriverConformance:
-    """Columnar and parallel against batch: the full rendering surface."""
+    """Columnar against batch: the full rendering surface."""
 
     @pytest.mark.parametrize("table", TABLES)
     @pytest.mark.parametrize("mode", ANALYSIS_MODES)
@@ -249,21 +246,20 @@ class TestServiceDriverConformance:
 
 
 class TestDropLedgerConformance:
-    def test_all_five_ledgers_empty_and_identical(self, conformance):
+    def test_all_four_ledgers_empty_and_identical(self, conformance):
         documents = {
             name: ledger.to_json() for name, ledger in conformance.ledgers.items()
         }
         assert sorted(documents) == [
             "batch",
             "columnar",
-            "parallel",
             "service",
             "stream",
         ]
         for name, ledger in conformance.ledgers.items():
             assert ledger.dropped() == 0, name
-        # The four full-dataset drivers agree byte for byte; the service
+        # The three full-dataset drivers agree byte for byte; the service
         # ledger (a syslog-only feed) is compared for emptiness above.
         reference = documents["batch"]
-        for name in ("columnar", "parallel", "stream"):
+        for name in ("columnar", "stream"):
             assert documents[name] == reference, name

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.columnar import parse_log_segment_columnar
+from repro.columnar import parse_log_columnar
 from repro.core.pipeline import run_analysis
 from repro.fleet import (
     PRESETS,
@@ -169,11 +169,10 @@ def test_lsp_determinism_slice_invariance_and_shards():
 
 def test_corpus_parses_identically_on_both_engines():
     text = "\n".join(line for _, line in iter_syslog_lines(SPEC)) + "\n"
-    scalar = SyslogCollector.parse_log_segment(text)
-    columnar = parse_log_segment_columnar(text)
-    assert scalar.entries == columnar.entries
-    assert scalar.latest == columnar.latest
-    assert len(scalar.entries) == text.count("\n"), "every line must parse"
+    scalar = SyslogCollector.parse_log(text)
+    columnar = parse_log_columnar(text)
+    assert scalar == columnar
+    assert len(scalar) == text.count("\n"), "every line must parse"
 
 
 def test_dataset_mode_loads_and_analyses(tmp_path):
