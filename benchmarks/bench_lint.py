@@ -36,9 +36,8 @@ from repro.devtools.lint import (
 LINT_PATHS = ["src"]
 
 # Budget for the parallel cold-cache run: twice the 5.9s measured when
-# the rule set stopped at the parallel-safety tier.  The semantic-drift
-# (S401–S404) and atomicity (A501–A503) tiers ride the shared call
-# graph and spine extraction, so adding them must not double the cold
+# the rule set stopped at the parallel-safety tier.  Later tiers, such
+# as the per-file atomicity rules (A501–A503), must not double the cold
 # lint; a regression here means a rule is re-deriving project state
 # instead of using the memoised analyses.
 COLD_LINT_BUDGET_SECONDS = 11.8
@@ -78,8 +77,8 @@ def build_table(files, cache_dir) -> str:
         f"warm cache ({warm[2]:.2f}s) must beat sequential "
         f"({sequential[2]:.2f}s)"
     )
-    # The cold parallel run carries every tier, drift rules included,
-    # and must stay inside the budget.
+    # The cold parallel run carries every tier and must stay inside the
+    # budget.
     assert cold[2] < COLD_LINT_BUDGET_SECONDS, (
         f"cold lint ({cold[2]:.2f}s) blew the "
         f"{COLD_LINT_BUDGET_SECONDS}s budget"

@@ -150,20 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(lint)
 
-    spine = sub.add_parser(
-        "spine",
-        help="regenerate or verify the engine correspondence map "
-        "(engine-spec.json, docs/architecture.md)",
-    )
-    spine.add_argument(
-        "--output", default=None, help="where to write the spec"
-    )
-    spine.add_argument(
-        "--check",
-        action="store_true",
-        help="fail with a diff when the committed spec is stale",
-    )
-
     fleetgen = sub.add_parser(
         "fleetgen", help="generate a fleet-scale corpus (docs/scale.md)"
     )
@@ -690,15 +676,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.devtools.lint import run as run_lint
 
         return run_lint(args)
-    if args.command == "spine":
-        from repro.devtools.spine import main as run_spine
-
-        spine_argv: List[str] = []
-        if args.output is not None:
-            spine_argv.extend(["--output", args.output])
-        if args.check:
-            spine_argv.append("--check")
-        return run_spine(spine_argv)
     if args.command == "chaos":
         from repro.faults.chaos import run_chaos
 

@@ -32,7 +32,8 @@ SOURCE_ISIS_IP = "isis-ip"
 # four drivers (batch, columnar, stream, service) sort the same streams
 # with the same keys — drifting tie-breakers are exactly how a second
 # driver or a resumed stream would silently diverge from the reference
-# run, so the keys live here once and `engine-spec.json` pins them.
+# run, so the keys live here once and the engine conformance tests
+# check every driver's output order against them on tied input.
 def message_sort_key(message: "LinkMessage") -> Tuple[float, str, str]:
     """``(time, link, reporter)`` — the message-stream order."""
     return (message.time, message.link, message.reporter)

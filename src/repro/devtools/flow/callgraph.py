@@ -20,14 +20,10 @@ Resolution is deliberately modest and sound-for-our-purposes:
   class or a local assigned from ``ClassName(...)``;
 * ``self.attr.method`` where ``attr`` is inferred from the class body:
   ``self.attr: T`` annotations, ``self.attr = ClassName(...)`` and
-  ``self.attr = name`` assignments (``name`` locally typed);
-* subscripted receivers — ``self.mergers[key].feed(...)`` and
-  ``self.timelines[ch][link].feed(...)`` resolve through the container
-  annotation's element classes (``Dict[str, RunMerger]``), which
-  is what lets the spine pass follow the streaming engine's per-link
-  machine registries.
+  ``self.attr = name`` assignments (``name`` locally typed).
 
-Anything else (dynamic dispatch, callables in containers) produces no
+Anything else (dynamic dispatch, subscripted receivers such as
+``self.mergers[key].feed(...)``, callables in containers) produces no
 edge, which for the R-rules means no finding — a miss, never a false
 positive.  The graph is memoised on ``project.cache`` so every rule in
 one lint run shares a single build.
@@ -181,14 +177,9 @@ class CallGraph:
                 if not isinstance(node, ast.Call):
                     continue
                 dotted = dotted_name(node.func)
-                if dotted is not None:
-                    callees = self._resolve(
-                        dotted, info, imports, local_types
-                    )
-                else:
-                    callees = self._resolve_subscripted(
-                        node.func, info, local_types
-                    )
+                if dotted is None:
+                    continue
+                callees = self._resolve(dotted, info, imports, local_types)
                 for callee in callees:
                     edge = CallEdge(
                         caller=info.qualname, callee=callee, call=node
@@ -413,58 +404,6 @@ class CallGraph:
             return set()
         if isinstance(value, ast.Name):
             return set(local.get(value.id, set()))
-        return set()
-
-    def _resolve_subscripted(
-        self,
-        func: ast.expr,
-        info: FunctionInfo,
-        local_types: Dict[str, Set[str]],
-    ) -> List[str]:
-        """Calls whose receiver goes through subscripts —
-        ``self.mergers[key].feed(...)``,
-        ``self.timelines[ch][link].feed(...)`` — resolved by peeling the
-        subscripts and typing the base through the container annotation's
-        element classes."""
-        if not isinstance(func, ast.Attribute):
-            return []
-        base = func.value
-        peeled = False
-        while isinstance(base, ast.Subscript):
-            base = base.value
-            peeled = True
-        if not peeled:
-            return []
-        base_dotted = dotted_name(base)
-        if base_dotted is None:
-            return []
-        targets = []
-        for class_name in sorted(
-            self._receiver_classes(base_dotted, info, local_types)
-        ):
-            found = self._method(class_name, func.attr)
-            if found:
-                targets.append(found)
-        return targets
-
-    def _receiver_classes(
-        self,
-        base_dotted: str,
-        info: FunctionInfo,
-        local_types: Dict[str, Set[str]],
-    ) -> Set[str]:
-        """Project classes a receiver expression may evaluate to."""
-        parts = base_dotted.split(".")
-        if parts[0] in ("self", "cls") and info.class_name:
-            if len(parts) == 1:
-                return {info.class_name}
-            if len(parts) == 2:
-                return set(
-                    self._attr_types(info.class_name).get(parts[1], set())
-                )
-            return set()
-        if len(parts) == 1 and parts[0] in local_types:
-            return set(local_types[parts[0]])
         return set()
 
     def _annotation_classes(

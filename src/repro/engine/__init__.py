@@ -27,9 +27,9 @@ each post-ingest phase as an incremental per-link state machine:
 The modes are *drivers*: batch feeds each machine to exhaustion and
 reads the canonical result; stream feeds watermark-by-watermark and
 uses frontiers to finalise early; the service wraps the stream driver.
-``engine-spec.json`` (regenerated by ``python -m repro.devtools.spine``)
-is the checked proof that every mode resolves every phase to the
-implementations in this package — see docs/architecture.md.
+``tests/test_engine_conformance.py`` checks at run time that every mode
+reaches each phase's implementation in this package, in funnel order —
+see docs/architecture.md.
 """
 
 from repro.engine.flaps import FlapDetector, FlapEpisode, FlapRun

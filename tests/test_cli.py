@@ -137,6 +137,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["analyze", "campaign/", "--jobs", "2"])
 
+    def test_spine_subcommand_is_rejected(self):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["spine"])
+
 
 class TestServe:
     def test_requires_config_or_status(self):

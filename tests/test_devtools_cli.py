@@ -119,21 +119,6 @@ def test_json_report_matches_golden_for_atomicity(capsys, monkeypatch):
     assert report == golden
 
 
-def test_spine_rules_run_clean_over_src_via_cli(capsys):
-    """The drift tier (S401–S404) through the real CLI: project-wide,
-    uncached, and quiet on the shipped tree."""
-    code, report = lint_json(
-        capsys,
-        str(REPO_ROOT / "src"),
-        "--select",
-        "S401,S402,S403,S404",
-        "--no-cache",
-    )
-    assert code == 0
-    assert report["findings"] == []
-    assert report["files_checked"] > 50
-
-
 def test_stats_reports_per_rule_timings(capsys):
     code = main(
         [
@@ -348,7 +333,6 @@ def test_list_rules_catalogue(capsys):
         "W001", "W002", "W003", "W004",
         "H201", "H202", "H203",
         "B301", "B302",
-        "S401", "S402", "S403", "S404",
         "A501", "A502", "A503",
     ):
         assert rule_id in out
