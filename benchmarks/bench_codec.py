@@ -1,13 +1,15 @@
 """Micro-benchmarks for the hot codec paths.
 
-Replaying a 13-month LSP archive means millions of unpack calls; parsing
-the syslog file means hundreds of thousands of line parses.  These benches
-track the unit costs so a performance regression in the codecs is visible
-without running a full campaign.
+Replaying a 13-month LSP archive means millions of compact-record
+decodes (full ``unpack`` is the simulator's codec and the decoder's
+barrier); parsing the syslog file means hundreds of thousands of line
+parses.  These benches track the unit costs so a performance regression
+in the codecs is visible without running a full campaign.
 """
 
 from __future__ import annotations
 
+from repro.isis.compact import decode_lsp_record
 from repro.isis.lsp import LinkStatePacket, LspId
 from repro.isis.tlv import (
     DynamicHostnameTlv,
@@ -47,6 +49,13 @@ def test_lsp_unpack(benchmark):
     raw = _sample_lsp().pack()
     lsp = benchmark(LinkStatePacket.unpack, raw)
     assert lsp.hostname == "lax-core-01"
+
+
+def test_lsp_decode_record(benchmark):
+    raw = _sample_lsp().pack()
+    record = benchmark(decode_lsp_record, raw)
+    assert record.hostname == "lax-core-01"
+    assert len(record.is_neighbors) == len(record.ip_prefixes) == 8
 
 
 def test_syslog_render(benchmark):

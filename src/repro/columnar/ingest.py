@@ -53,7 +53,13 @@ from repro.faults.ledger import CHANNEL_SYSLOG, IngestReport
 from repro.syslog.cisco import CiscoLogEntry, parse_cisco_body
 from repro.syslog.collector import CollectedEntry, SyslogCollector
 from repro.syslog.message import parse_syslog_line, try_parse_syslog_line
-from repro.util.timefmt import STUDY_EPOCH, _YEAR_RESOLUTION_SLACK
+from repro.util.timefmt import (
+    DAYS_IN_MONTH,
+    MONTH_BY_NAME,
+    STUDY_EPOCH,
+    _YEAR_RESOLUTION_SLACK,
+    month_start,
+)
 
 try:  # numpy is the engine; without it the scalar parser serves every call.
     import numpy as np
@@ -80,19 +86,14 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(backends)
 
 
-#: Month-name table derived through strftime so it matches whatever %b
-#: strptime accepts in this locale.  Names not matching the line grammar's
+#: :data:`~repro.util.timefmt.MONTH_BY_NAME` keyed by the three name bytes
+#: packed into one int.  Names not matching the line grammar's
 #: ``[A-Z][a-z]{2}`` could never appear in a grammar-valid line.
-_MONTH_BY_CODE: Dict[int, int] = {}
-for _m in range(1, 13):
-    _name = datetime.date(2001, _m, 1).strftime("%b")
-    if len(_name) == 3 and _name[0].isupper() and _name[1:].islower():
-        _code = (ord(_name[0]) << 16) | (ord(_name[1]) << 8) | ord(_name[2])
-        _MONTH_BY_CODE[_code] = _m
-
-#: Day-count ceiling per month on the fast path; Feb 29 is deliberately
-#: below the ceiling so leap-day lines take the scalar route.
-_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_MONTH_BY_CODE: Dict[int, int] = {
+    (ord(name[0]) << 16) | (ord(name[1]) << 8) | ord(name[2]): month
+    for name, month in MONTH_BY_NAME.items()
+    if len(name) == 3 and name[0].isupper() and name[1:].islower()
+}
 
 #: Bodies that can possibly parse as one of the four Cisco mnemonics; the
 #: parse regexes are anchored on these literals.
@@ -187,12 +188,10 @@ class _Walk:
 
 def _year_base_table(years: "np.ndarray") -> "np.ndarray":
     """``base[j, m-1]`` = integer seconds of (years[j], m, 1) past the epoch."""
-    table = np.empty((len(years), 12), dtype=np.int64)
-    for j, year in enumerate(years.tolist()):
-        for month in range(1, 13):
-            delta = datetime.datetime(year, month, 1) - STUDY_EPOCH
-            table[j, month - 1] = delta.days * 86400 + delta.seconds
-    return table
+    return np.array(
+        [[month_start(year, month)[0] for month in range(1, 13)] for year in years.tolist()],
+        dtype=np.int64,
+    )
 
 
 def _resolve_years(
@@ -325,8 +324,10 @@ def _classify_ascii(
         + win[:, 18]
         - 48
     )
+    # Day-count ceiling per month; Feb 29 is deliberately above it so
+    # leap-day lines take the scalar route.
     dim = np.zeros(13, dtype=np.int32)
-    dim[1:] = _DAYS_IN_MONTH
+    dim[1:] = DAYS_IN_MONTH
     fast &= (day >= 1) & (day <= dim[month]) & (hour <= 23)
     fast &= (minute <= 59) & (second <= 59)
 

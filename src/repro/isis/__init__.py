@@ -16,7 +16,8 @@ IS-IS domain (§3.2).  It provides:
 * a simple **flooding** model delivering LSPs to a listener;
 * the passive **listener** that diffs consecutive LSPs from each origin on
   IS and IP reachability and emits link state transitions — the paper's
-  ground-truth channel;
+  ground-truth channel — reading each archived LSP through one compact
+  decoder (:mod:`repro.isis.compact`) with full unpack as its barrier;
 * an **MRT-style dump** reader/writer so LSP streams can be archived and
   replayed like PyRT capture files.
 """

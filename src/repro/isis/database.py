@@ -1,10 +1,11 @@
 """Link-state database with ISO 10589 acceptance rules.
 
-The listener keeps an LSDB so duplicate and out-of-order floods (which a
-passive tap hears constantly — the paper's listener logged 11 million LSP
-updates for ~23 thousand real transitions) do not masquerade as state
-changes: only an LSP with a *newer* sequence number than the stored copy is
-accepted and handed to the reachability differ.
+The acceptance rule (:func:`supersedes`) is what keeps duplicate and
+out-of-order floods (which a passive tap hears constantly — the paper's
+listener logged 11 million LSP updates for ~23 thousand real transitions)
+from masquerading as state changes: only an LSP with a *newer* sequence
+number than the stored copy is accepted.  The listener applies it to its
+compact records; :class:`LinkStateDatabase` applies it to full LSPs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,20 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.isis.lsp import LinkStatePacket, LspId
+
+
+def supersedes(
+    sequence_number: int, purge: bool, stored_sequence: int, stored_purge: bool
+) -> bool:
+    """The ISO 10589 newest-wins rule: does an LSP replace the stored copy?
+
+    Newer means a strictly higher sequence number, or a purge (zero
+    remaining lifetime) of the currently stored sequence number.
+    Duplicates and stale floods are rejected.
+    """
+    if sequence_number != stored_sequence:
+        return sequence_number > stored_sequence
+    return purge and not stored_purge
 
 
 @dataclass(frozen=True)
@@ -24,17 +39,10 @@ class StoredLsp:
 
 
 class LinkStateDatabase:
-    """Newest-LSP-wins store keyed by LSP ID.
-
-    Besides the flat store, a per-origin index maps each system ID to its
-    stored fragments: :meth:`lsps_of` runs once per *accepted* LSP on the
-    listener's hot path (11 million updates in the paper's archive), so it
-    must not touch — let alone sort — the other origins' entries.
-    """
+    """Newest-LSP-wins store keyed by LSP ID."""
 
     def __init__(self) -> None:
         self._entries: Dict[LspId, StoredLsp] = {}
-        self._by_origin: Dict[str, Dict[LspId, StoredLsp]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -48,21 +56,17 @@ class LinkStateDatabase:
     def consider(self, lsp: LinkStatePacket, arrival_time: float) -> bool:
         """Apply the acceptance rule; True when the LSP replaced the store.
 
-        Newer means a strictly higher sequence number, or a purge
-        (zero remaining lifetime) of the currently stored sequence number.
-        Duplicates and stale floods are rejected.
+        See :func:`supersedes`; an LSP ID not yet stored is always accepted.
         """
         stored = self._entries.get(lsp.lsp_id)
-        if stored is not None:
-            if lsp.sequence_number < stored.lsp.sequence_number:
-                return False
-            if lsp.sequence_number == stored.lsp.sequence_number:
-                is_fresher_purge = lsp.is_purge() and not stored.lsp.is_purge()
-                if not is_fresher_purge:
-                    return False
-        entry = StoredLsp(lsp=lsp, arrival_time=arrival_time)
-        self._entries[lsp.lsp_id] = entry
-        self._by_origin.setdefault(lsp.lsp_id.system_id, {})[lsp.lsp_id] = entry
+        if stored is not None and not supersedes(
+            lsp.sequence_number,
+            lsp.is_purge(),
+            stored.lsp.sequence_number,
+            stored.lsp.is_purge(),
+        ):
+            return False
+        self._entries[lsp.lsp_id] = StoredLsp(lsp=lsp, arrival_time=arrival_time)
         return True
 
     def expire(self, now: float) -> List[LspId]:
@@ -83,11 +87,6 @@ class LinkStateDatabase:
 
     def remove(self, lsp_id: LspId) -> None:
         self._entries.pop(lsp_id, None)
-        fragments = self._by_origin.get(lsp_id.system_id)
-        if fragments is not None:
-            fragments.pop(lsp_id, None)
-            if not fragments:
-                del self._by_origin[lsp_id.system_id]
 
     def origins(self) -> List[str]:
         """System IDs with at least one stored non-purge LSP."""
@@ -101,10 +100,10 @@ class LinkStateDatabase:
 
     def lsps_of(self, system_id: str) -> List[LinkStatePacket]:
         """All stored fragments originated by ``system_id``, fragment order."""
-        fragments = self._by_origin.get(system_id)
-        if not fragments:
-            return []
-        return [fragments[lsp_id].lsp for lsp_id in sorted(fragments)]
+        fragments = sorted(
+            lsp_id for lsp_id in self._entries if lsp_id.system_id == system_id
+        )
+        return [self._entries[lsp_id].lsp for lsp_id in fragments]
 
     def __iter__(self) -> Iterator[StoredLsp]:
         return iter(self._entries.values())

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
-from repro.isis.database import LinkStateDatabase
+from repro.isis.compact import LspRecord, decode_lsp_record, record_from_lsp
+from repro.isis.database import supersedes
 from repro.isis.lsp import LinkStatePacket
 
 
@@ -60,49 +61,61 @@ class _OriginState:
 
 
 class IsisListener:
-    """Consumes timestamped LSPs, produces reachability change events."""
+    """Consumes timestamped LSPs, produces reachability change events.
+
+    Every LSP, wire bytes or decoded, becomes one :class:`LspRecord` and
+    goes through :meth:`_observe`.  The listener stores the newest record
+    per LSP ID, indexed by origin: it needs only the acceptance rule and
+    the origin's stored fragments.
+    """
 
     def __init__(self) -> None:
-        self._database = LinkStateDatabase()
+        #: origin -> eight-octet LSP ID -> newest accepted record.
+        self._fragments: Dict[str, Dict[bytes, LspRecord]] = {}
         self._origin_state: Dict[str, _OriginState] = {}
         self.hostnames: Dict[str, str] = {}
         self.changes: List[ReachabilityChange] = []
-        #: LSPs rejected by the LSDB (duplicates / stale floods).
+        #: LSPs rejected by the acceptance rule (duplicates / stale floods).
         self.rejected_count = 0
-
-    @property
-    def database(self) -> LinkStateDatabase:
-        return self._database
 
     def observe_bytes(self, time: float, raw: bytes) -> List[ReachabilityChange]:
         """Decode a wire LSP and process it (checksum verified)."""
-        return self.observe(time, LinkStatePacket.unpack(raw))
+        return self._observe(time, decode_lsp_record(raw))
 
     def observe(self, time: float, lsp: LinkStatePacket) -> List[ReachabilityChange]:
+        """Process one already decoded LSP (see :meth:`observe_bytes`)."""
+        return self._observe(time, record_from_lsp(lsp))
+
+    def _observe(self, time: float, record: LspRecord) -> List[ReachabilityChange]:
         """Process one LSP; returns (and records) the changes it implies."""
-        if not self._database.consider(lsp, time):
+        origin = record.origin
+        fragments = self._fragments.setdefault(origin, {})
+        stored = fragments.get(record.key)
+        if stored is not None and not supersedes(
+            record.sequence_number,
+            record.purge,
+            stored.sequence_number,
+            stored.purge,
+        ):
             self.rejected_count += 1
             return []
+        fragments[record.key] = record
 
-        origin = lsp.lsp_id.system_id
-        if lsp.hostname is not None:
-            self.hostnames[origin] = lsp.hostname
+        if record.hostname is not None:
+            self.hostnames[origin] = record.hostname
 
-        if lsp.is_purge():
+        if record.purge:
             new_is: FrozenSet[str] = frozenset()
             new_ip: FrozenSet[Tuple[int, int]] = frozenset()
         else:
             # Aggregate over all stored fragments of this origin so a
             # multi-fragment router is diffed on its full advertisement.
-            neighbors: Set[str] = set()
-            prefixes: Set[Tuple[int, int]] = set()
-            for fragment in self._database.lsps_of(origin):
-                for neighbor in fragment.is_neighbors:
-                    neighbors.add(neighbor.system_id)
-                for prefix in fragment.ip_prefixes:
-                    prefixes.add((prefix.prefix, prefix.prefix_length))
-            new_is = frozenset(neighbors)
-            new_ip = frozenset(prefixes)
+            new_is = frozenset().union(
+                *(fragment.is_neighbors for fragment in fragments.values())
+            )
+            new_ip = frozenset().union(
+                *(fragment.ip_prefixes for fragment in fragments.values())
+            )
 
         previous = self._origin_state.get(origin)
         emitted: List[ReachabilityChange] = []

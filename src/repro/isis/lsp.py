@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from repro.isis.pdu import LSP_HEADER_LENGTH, PduDecodeError, PduHeader, PduType
@@ -50,17 +51,23 @@ class LspDecodeError(PduDecodeError):
     """Raised when LSP bytes are malformed or fail the checksum."""
 
 
+def _fletcher_sums(data: bytes) -> Tuple[int, int]:
+    """The ISO 8473 Fletcher running sums ``(c0, c1)`` over ``data``.
+
+    ``c0`` is the octet sum and ``c1`` the sum of its running values, both
+    mod 255.  Reducing once at the end equals the per-octet reduction of
+    ISO 8473 Annex C, and both sums run at C speed.
+    """
+    return sum(data) % 255, sum(accumulate(data)) % 255
+
+
 def iso_checksum(data: bytes, checksum_offset: int) -> int:
     """Compute the ISO 8473 Fletcher checksum for ``data``.
 
     ``data`` must contain zeros at the two checksum positions; the returned
     16-bit value, when stored there, makes the whole block verify.
     """
-    c0 = 0
-    c1 = 0
-    for octet in data:
-        c0 = (c0 + octet) % 255
-        c1 = (c1 + c0) % 255
+    c0, c1 = _fletcher_sums(data)
     x = ((len(data) - checksum_offset - 1) * c0 - c1) % 255
     if x <= 0:
         x += 255
@@ -72,12 +79,7 @@ def iso_checksum(data: bytes, checksum_offset: int) -> int:
 
 def iso_checksum_verify(data: bytes) -> bool:
     """True when a block containing its checksum verifies (c0 == c1 == 0)."""
-    c0 = 0
-    c1 = 0
-    for octet in data:
-        c0 = (c0 + octet) % 255
-        c1 = (c1 + c0) % 255
-    return c0 == 0 and c1 == 0
+    return _fletcher_sums(data) == (0, 0)
 
 
 @dataclass(frozen=True, order=True)

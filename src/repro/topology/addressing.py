@@ -52,7 +52,7 @@ def system_id_from_bytes(raw: bytes) -> str:
     """Unpack a six-octet wire system ID into dotted form."""
     if len(raw) != 6:
         raise ValueError("system id must be exactly six octets")
-    return system_id_for_index(int.from_bytes(raw, "big"))
+    return raw.hex(".", 2)  # same text as system_id_for_index
 
 
 def net_for_system_id(system_id: str, area: str = "0001") -> str:

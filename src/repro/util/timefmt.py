@@ -8,8 +8,11 @@ the originals.
 
 from __future__ import annotations
 
+import calendar
 import datetime
-from typing import Optional
+import functools
+import re
+from typing import Dict, List, Optional, Tuple
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -50,6 +53,57 @@ class TimestampRangeError(ValueError):
     """
 
 
+#: Month numbers by the name ``%b`` renders them with, derived through
+#: strftime so the table matches whatever ``%b`` strptime accepts in this
+#: locale.  The columnar parser builds its byte-level table from this one.
+MONTH_BY_NAME: Dict[str, int] = {
+    datetime.date(2001, month, 1).strftime("%b"): month for month in range(1, 13)
+}
+
+#: Days in each month of a common (non-leap) year, January first.
+DAYS_IN_MONTH: Tuple[int, ...] = tuple(
+    calendar.monthrange(2001, month)[1] for month in range(1, 13)
+)
+
+#: The canonical year-less body ``Mmm dd HH:MM:SS`` with every field in
+#: the range strptime accepts, the day space- or zero-padded.  Only
+#: these bodies take the arithmetic path; strptime is the barrier for
+#: every other shape (24:00:00, :60, day 00, odd spacing, lower case...).
+_CANONICAL_BODY = re.compile(
+    r"([A-Z][a-z]{2}) ( [1-9]|0[1-9]|[12][0-9]|3[01]) "
+    r"([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def month_start(year: int, month: int) -> Tuple[int, int]:
+    """``(seconds, days)``: the 1st of ``month`` as integer seconds past
+    :data:`STUDY_EPOCH`, and the month's length in days.
+
+    Cached; the cache holds at most one entry per month of years 1-9999.
+    """
+    delta = datetime.datetime(year, month, 1) - STUDY_EPOCH
+    return delta.days * 86400 + delta.seconds, calendar.monthrange(year, month)[1]
+
+
+def _strptime_candidates(
+    body: str, first_year: int, last_year: int, millis: float
+) -> List[float]:
+    """Candidate times of a non-canonical body, one strptime per year."""
+    candidates = []
+    for year in range(first_year, last_year + 1):
+        try:
+            moment = datetime.datetime.strptime(
+                f"{year} {body}", "%Y %b %d %H:%M:%S"
+            )
+        except ValueError:  # e.g. Feb 29 in a non-leap candidate year
+            continue
+        seconds = (moment - STUDY_EPOCH).total_seconds() + millis
+        if seconds >= 0:
+            candidates.append(seconds)
+    return candidates
+
+
 def parse_timestamp(
     text: str, year_hint: int = 2010, after: Optional[float] = None
 ) -> float:
@@ -70,12 +124,17 @@ def parse_timestamp(
     occurrence), :class:`TimestampRangeError` is raised rather than
     silently rolling back in time.
 
+    A canonical ``Mmm dd HH:MM:SS`` body is parsed once and each
+    candidate year is derived arithmetically from :func:`month_start`;
+    any other body is handed to strptime once per candidate year, which
+    decides what it means.  Both give the same floats and errors.
+
     >>> parse_timestamp('Oct 20 00:00:00.000')
     0.0
     >>> parse_timestamp('Jan  1 00:00:00.500')  # rolls into 2011
-    6393600.5
+    6307200.5
     >>> parse_timestamp('Oct 25 00:00:00.000', after=370 * 86400.0)
-    32054400.0
+    31968000.0
     """
     body, _, millis_text = text.partition(".")
     millis = int(millis_text) / 1000.0 if millis_text else 0.0
@@ -85,17 +144,26 @@ def parse_timestamp(
         reached = (STUDY_EPOCH + datetime.timedelta(seconds=after)).year
         last_year = max(last_year, reached + 1)
 
-    candidates = []
-    for year in range(year_hint, last_year + 1):
-        try:
-            moment = datetime.datetime.strptime(
-                f"{year} {body}", "%Y %b %d %H:%M:%S"
-            )
-        except ValueError:  # e.g. Feb 29 in a non-leap candidate year
-            continue
-        seconds = (moment - STUDY_EPOCH).total_seconds() + millis
-        if seconds >= 0:
-            candidates.append(seconds)
+    match = _CANONICAL_BODY.fullmatch(body)
+    month = MONTH_BY_NAME.get(match.group(1)) if match else None
+    if match is None or month is None:
+        candidates = _strptime_candidates(body, year_hint, last_year, millis)
+    else:
+        day = int(match.group(2))
+        clock = (
+            (day - 1) * 86400
+            + int(match.group(3)) * 3600
+            + int(match.group(4)) * 60
+            + int(match.group(5))
+        )
+        candidates = []
+        # strptime's %Y reads exactly four digits.
+        for year in range(max(year_hint, 1000), min(last_year, 9999) + 1):
+            base, days = month_start(year, month)
+            if day <= days:
+                seconds = base + clock + millis
+                if seconds >= 0:
+                    candidates.append(seconds)
     if not candidates:
         raise ValueError(f"unparseable timestamp {text!r}")
 

@@ -83,8 +83,7 @@ class TestLinkStateDatabase:
 
     def test_lsps_of_isolates_origins(self):
         # Regression: lsps_of must return only the named origin's fragments
-        # even when many origins are stored (the per-origin index must not
-        # leak entries across buckets).
+        # even when many origins are stored.
         db = LinkStateDatabase()
         for sysid in ("0000.0000.0003", "0000.0000.0001", "0000.0000.0002"):
             for fragment in (2, 0, 1):
@@ -115,8 +114,7 @@ class TestLinkStateDatabase:
         assert len(db.lsps_of("0000.0000.0002")) == 1
 
     def test_lsps_of_after_expiry(self):
-        # Regression: expiry must evict from the per-origin index too, not
-        # just the flat store.
+        # Regression: an expired fragment is no longer among the origin's.
         db = LinkStateDatabase()
         db.consider(lsp(1, lifetime=100), 0.0)
         db.expire(now=101.0)

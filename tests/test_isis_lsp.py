@@ -76,7 +76,47 @@ class TestLspId:
         assert LspId("0000.0000.0001") < LspId("0000.0000.0002")
 
 
+def per_octet_sums(data):
+    """ISO 8473 Annex C as written: reduce mod 255 after every octet."""
+    c0 = c1 = 0
+    for octet in data:
+        c0 = (c0 + octet) % 255
+        c1 = (c1 + c0) % 255
+    return c0, c1
+
+
+def per_octet_checksum(data, checksum_offset):
+    c0, c1 = per_octet_sums(data)
+    x = ((len(data) - checksum_offset - 1) * c0 - c1) % 255
+    if x <= 0:
+        x += 255
+    y = 510 - c0 - x
+    if y > 255:
+        y -= 255
+    return (x << 8) | y
+
+
 class TestChecksum:
+    @given(st.binary(min_size=2, max_size=1500), st.integers(0, 1500))
+    @settings(max_examples=300)
+    def test_matches_per_octet_oracle(self, payload, offset_seed):
+        offset = offset_seed % (len(payload) - 1)
+        assert iso_checksum(payload, offset) == per_octet_checksum(payload, offset)
+        assert iso_checksum_verify(payload) == (per_octet_sums(payload) == (0, 0))
+
+    @given(st.binary(min_size=0, max_size=64).map(lambda b: b + bytes(2)), st.data())
+    @settings(max_examples=200)
+    def test_verify_matches_oracle_on_checksummed_blocks(self, payload, data):
+        offset = data.draw(st.integers(0, len(payload) - 2))
+        block = bytearray(payload)
+        block[offset : offset + 2] = bytes(2)
+        checksum = per_octet_checksum(bytes(block), offset)
+        block[offset : offset + 2] = checksum.to_bytes(2, "big")
+        flip = data.draw(st.integers(-1, len(block) - 1))
+        if flip >= 0:
+            block[flip] ^= data.draw(st.integers(1, 255))
+        assert iso_checksum_verify(bytes(block)) == (per_octet_sums(block) == (0, 0))
+
     def test_computed_checksum_verifies(self):
         data = bytearray(b"\x01\x02\x03\x00\x00\x04\x05")
         checksum = iso_checksum(bytes(data), 3)

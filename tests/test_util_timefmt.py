@@ -1,13 +1,19 @@
 """Unit tests for timestamp formatting and parsing."""
 
+import datetime
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.timefmt import (
+    DAYS_IN_MONTH,
+    MONTH_BY_NAME,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     SECONDS_PER_YEAR,
+    STUDY_EPOCH,
     TimestampRangeError,
     format_duration,
     format_timestamp,
@@ -112,6 +118,102 @@ class TestParseTimestamp:
         with pytest.raises(ValueError) as excinfo:
             parse_timestamp("Feb 31 00:00:00.000")
         assert not isinstance(excinfo.value, TimestampRangeError)
+
+
+def strptime_parse_timestamp(text, year_hint=2010, after=None):
+    """The reference: one strptime per candidate year, for every body."""
+    body, _, millis_text = text.partition(".")
+    millis = int(millis_text) / 1000.0 if millis_text else 0.0
+    last_year = year_hint + 2
+    if after is not None:
+        reached = (STUDY_EPOCH + datetime.timedelta(seconds=after)).year
+        last_year = max(last_year, reached + 1)
+    candidates = []
+    for year in range(year_hint, last_year + 1):
+        try:
+            moment = datetime.datetime.strptime(f"{year} {body}", "%Y %b %d %H:%M:%S")
+        except ValueError:
+            continue
+        seconds = (moment - STUDY_EPOCH).total_seconds() + millis
+        if seconds >= 0:
+            candidates.append(seconds)
+    if not candidates:
+        raise ValueError(f"unparseable timestamp {text!r}")
+    floor = (after - 2 * 86400.0) if after is not None else 0.0
+    eligible = [c for c in candidates if c >= floor]
+    if not eligible:
+        raise TimestampRangeError(
+            f"timestamp {text!r} has no candidate year consistent with the "
+            f"log's progress (latest parsed time {after!r})"
+        )
+    return min(eligible)
+
+
+def outcome(parse, *args, **kwargs):
+    try:
+        return parse(*args, **kwargs)
+    except ValueError as error:
+        return (type(error), str(error))
+
+
+#: Log progress points: none, the epoch, both sides of each year boundary
+#: the candidate window crosses, and far enough on that Feb 29 and
+#: every 2010 date run out of candidates.
+AFTERS = [None, 0.0, 3600.0, 72 * SECONDS_PER_DAY, 74 * SECONDS_PER_DAY,
+          437 * SECONDS_PER_DAY, 500 * SECONDS_PER_DAY, 900 * SECONDS_PER_DAY,
+          1100 * SECONDS_PER_DAY, 4000 * SECONDS_PER_DAY]
+
+
+class TestArithmeticMatchesStrptime:
+    """The arithmetic path against the strptime reference, exhaustively."""
+
+    MONTHS = list(MONTH_BY_NAME) + ["Foo", "jan", "FEB"]
+    DAYS = sorted({f"{day:2d}" for day in range(0, 33)} | {f"{day:02d}" for day in range(0, 33)})
+    CLOCKS = ["00:00:00", "23:59:59", "12:34:56", "24:00:00", "00:60:00",
+              "00:00:60", "00:00:61", "09:05:07"]
+
+    def test_months_days_clocks_and_progress(self):
+        for month, day, clock in itertools.product(self.MONTHS, self.DAYS, self.CLOCKS):
+            text = f"{month} {day} {clock}.250"
+            for after in AFTERS:
+                assert outcome(parse_timestamp, text, after=after) == outcome(
+                    strptime_parse_timestamp, text, after=after
+                ), (text, after)
+
+    @pytest.mark.parametrize("year_hint", [2009, 2010, 2011, 2012])
+    @pytest.mark.parametrize("text", ["Feb 29 12:00:00.000", "Feb 28 23:59:59.999",
+                                      "Mar  1 00:00:00.001", "Dec 31 23:59:59",
+                                      "Oct 20 00:00:00.000", "Oct 19 23:59:59.999"])
+    def test_leap_days_year_hints_and_epoch_edges(self, text, year_hint):
+        for after in AFTERS:
+            assert outcome(parse_timestamp, text, year_hint=year_hint, after=after) == outcome(
+                strptime_parse_timestamp, text, year_hint=year_hint, after=after
+            ), (text, after)
+
+    @pytest.mark.parametrize("text", ["Oct 20 00:00:00", "Oct 20 00:00:00.", "Oct 20 00:00:00.x",
+                                      "Oct  20 00:00:00.000", "Oct 20 0:00:00.000",
+                                      "Oct 2 00:00:00.000", "", "Oct 20 00:00:00 .000",
+                                      "Oct \u0662\u0660 00:00:00.000", " Oct 20 00:00:00.000",
+                                      "Oct  19 23:59:59.999", "oct 25 00:00:00.000"])
+    def test_non_canonical_bodies(self, text):
+        for after in AFTERS:
+            assert outcome(parse_timestamp, text, after=after) == outcome(
+                strptime_parse_timestamp, text, after=after
+            ), (text, after)
+
+    def test_year_window_edges(self):
+        for year_hint, after in [(-1, None), (0, None), (998, None), (999, None), (9998, None), (9999, None),
+                                 (2010, 2_917_800 * SECONDS_PER_DAY)]:
+            for text in ("Jan  1 00:00:00.000", "Oct 25 00:00:00.000"):
+                assert outcome(parse_timestamp, text, year_hint=year_hint, after=after) == outcome(
+                    strptime_parse_timestamp, text, year_hint=year_hint, after=after
+                ), (text, year_hint, after)
+
+    def test_month_table_matches_strftime(self):
+        assert len(MONTH_BY_NAME) == 12
+        for name, month in MONTH_BY_NAME.items():
+            assert datetime.date(2001, month, 1).strftime("%b") == name
+        assert DAYS_IN_MONTH[1] == 28 and sum(DAYS_IN_MONTH) == 365
 
 
 class TestFormatDuration:
