@@ -23,7 +23,8 @@ to leave the discipline quietly:
   ledger's aggregation by reason and the acceptance gates built on it.
 
 Scopes: A501/A502 cover ``repro.service`` and ``repro.stream`` (the two
-packages that persist state); A503 covers ``repro.service``.  As with
+packages that persist state) and ``repro.util``, which hosts the shared
+writer; A503 covers ``repro.service``.  As with
 every rule, standalone fixture files outside the ``repro`` package are
 always in scope.
 """
@@ -44,9 +45,11 @@ from repro.devtools.base import (
 )
 from repro.devtools.flow.cfg import EXIT, build_cfg, iter_scopes
 
-#: Functions allowed to open files in truncating write mode: the two
-#: rename-atomic writers every other write must route through.
-ATOMIC_WRITER_NAMES = frozenset({"write_json_atomic", "save_checkpoint"})
+#: Functions allowed to open files in truncating write mode: the one
+#: rename-atomic writer (:mod:`repro.util.atomic`) every other write
+#: must route through.  ``save_checkpoint`` publishes its frontier
+#: through it and only appends to its results segment.
+ATOMIC_WRITER_NAMES = frozenset({"write_json_atomic"})
 
 #: ``open`` modes that truncate or replace the target in place.
 _TRUNCATING_PREFIXES = ("w", "x")
@@ -142,7 +145,7 @@ class SeveredAtomicWriteRule(Rule):
         "leaks, which is precisely the torn-state failure the service's "
         "crash contract forbids."
     )
-    scope = ("service", "stream")
+    scope = ("service", "stream", "util")
 
     def check(
         self, module: SourceModule, project: Project
@@ -232,10 +235,10 @@ class BareTruncatingOpenRule(Rule):
         "open(path, 'w') truncates in place: a reader — or a crash — "
         "between the truncate and the final flush observes an empty or "
         "half-written file.  State that anything else reads must go "
-        "through the rename-atomic writers (write_json_atomic, "
-        "save_checkpoint); append-mode journals and reads are exempt."
+        "through the rename-atomic writer (write_json_atomic, which "
+        "save_checkpoint uses); append-mode journals and reads are exempt."
     )
-    scope = ("service", "stream")
+    scope = ("service", "stream", "util")
 
     def check(
         self, module: SourceModule, project: Project

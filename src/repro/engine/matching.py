@@ -12,6 +12,10 @@ accounting).  The batch driver
 exhaustion and flushes with infinite frontiers; the stream engine feeds
 real frontiers so decisions stream out within one matching window plus
 hold-timer slack of real time.  Both read the same canonical result.
+The same frontiers prune each link's retained failures to the undecided
+ones plus the decided ones something undecided could still overlap, so
+live matcher state is bounded by links and windows, not by campaign
+length.
 
 :class:`CoverageScorer` is the single implementation of Table 3's
 None/One/Both accounting
@@ -76,7 +80,8 @@ class _LinkMatchState:
         self.a_pending: Deque[FailureEvent] = deque()
         #: Indices into b_all not yet resolved as matched or only-b.
         self.b_pending: Deque[int] = deque()
-        #: Every kept failure seen, in start order (overlap accounting).
+        #: Kept failures still needed, in start order: the undecided ones
+        #: plus decided ones something undecided could still overlap.
         self.a_all: List[FailureEvent] = []
         self.b_all: List[FailureEvent] = []
         self.b_consumed: List[bool] = []
@@ -131,9 +136,10 @@ class Matcher:
         on the start of any *kept* failure the respective channel may
         still emit on ``link``.
         """
-        for link, state in self.links.items():
-            if state.a_pending or state.b_pending:
-                self._advance_link(link, state, frontier_a(link), frontier_b(link))
+        for link, state in list(self.links.items()):
+            self._advance_link(link, state, frontier_a(link), frontier_b(link))
+            if not (state.a_all or state.b_all):
+                del self.links[link]
 
     def _advance_link(
         self,
@@ -184,6 +190,45 @@ class Matcher:
             self.only_b.append(fb)
             if any(fb.overlaps(fa) for fa in state.a_all):
                 self.partial_b.append(fb)
+        self._prune(state, frontier_a, frontier_b)
+
+    @staticmethod
+    def _prune(
+        state: _LinkMatchState, frontier_a: float, frontier_b: float
+    ) -> None:
+        """Drop decided failures nothing undecided can match or overlap.
+
+        A decided failure is only ever read again by the other side's
+        overlap check (a decided b is consumed or provably unmatchable),
+        and overlap needs the other failure to start before this one
+        ends.  Every undecided or future failure on the other side
+        starts at or after that side's bound — its frontier, or its
+        first undecided failure's start — so a decided failure ending
+        by then is final.  Per-link spans are ordered by start and end,
+        so the prunable ones form a prefix.
+        """
+        bound_b = frontier_b
+        if state.b_pending:
+            # The loop above leaves an undecided (unconsumed) head.
+            bound_b = min(bound_b, state.b_all[state.b_pending[0]].start)
+        decided = len(state.a_all) - len(state.a_pending)
+        drop = 0
+        while drop < decided and state.a_all[drop].end <= bound_b:
+            drop += 1
+        if drop:
+            del state.a_all[:drop]
+
+        bound_a = frontier_a
+        if state.a_pending:
+            bound_a = min(bound_a, state.a_pending[0].start)
+        decided = state.b_pending[0] if state.b_pending else len(state.b_all)
+        drop = 0
+        while drop < decided and state.b_all[drop].end <= bound_a:
+            drop += 1
+        if drop:
+            del state.b_all[:drop]
+            del state.b_consumed[:drop]
+            state.b_pending = deque(index - drop for index in state.b_pending)
 
     def flush(self) -> None:
         """End of stream: every frontier is infinite; decide everything."""

@@ -19,8 +19,10 @@ invariants the hardened ingestion promises:
   checked through a real on-disk checkpoint file, in strict mode on the
   pristine dataset and in lenient mode on a damaged one.
 * **Corrupt checkpoints fail typed.**  Every corruption mode of the
-  checkpoint file surfaces as :class:`CheckpointError`, never a bare
-  decode error or a silent misread.
+  checkpoint's frontier file, and a results segment cut or bit-flipped
+  inside its committed region, surfaces as :class:`CheckpointError`,
+  never a bare decode error or a silent misread; a torn segment tail
+  past the committed length resumes byte-identically.
 
 All corruption is derived from the scenario seed via
 :func:`repro.util.rand.child_rng`, so a failing run reproduces exactly.
@@ -41,10 +43,12 @@ from repro.core.pipeline import AnalysisResult, run_analysis
 from repro.core.report import render_table
 from repro.faults.injectors import (
     CHECKPOINT_MODES,
+    SEGMENT_MODES,
     _mrt_record_spans,
     bitflip_mrt_payloads,
     corrupt_checkpoint,
     corrupt_mrt_length,
+    corrupt_segment,
     inject_garbage_lines,
     truncate_log_lines,
     truncate_mrt,
@@ -53,7 +57,12 @@ from repro.faults.ledger import CHANNEL_ISIS, CHANNEL_SYSLOG, IngestReport
 from repro.simulation.dataset import Dataset
 from repro.simulation.scenario import ScenarioConfig, run_scenario
 from repro.stream import checkpoint as codec
-from repro.stream.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.stream.checkpoint import (
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+    segment_path,
+)
 from repro.stream.engine import StreamEngine, StreamResult, stream_dataset
 from repro.syslog.collector import SyslogCollector
 from repro.util.rand import child_rng
@@ -377,8 +386,7 @@ def _scenario_checkpoint_corrupt(chaos: _Chaos) -> ScenarioOutcome:
     )
     outcome.notes.append("intact checkpoint loads and restores")
 
-    for mode in CHECKPOINT_MODES:
-        path.write_bytes(corrupt_checkpoint(pristine_ckpt, rng, mode))
+    def damaged(mode: str) -> None:
         try:
             damaged_state = load_checkpoint(str(path))
             StreamEngine.restore(
@@ -395,6 +403,33 @@ def _scenario_checkpoint_corrupt(chaos: _Chaos) -> ScenarioOutcome:
             )
         else:
             outcome.check(False, f"{mode}: corruption loaded without error")
+
+    for mode in CHECKPOINT_MODES:
+        path.write_bytes(corrupt_checkpoint(pristine_ckpt, rng, mode))
+        damaged(mode)
+    path.write_bytes(pristine_ckpt)
+
+    # The results segment: a torn tail past the committed length (a kill
+    # between append and rename) must resume byte-identically; damage
+    # inside the committed region must fail typed.
+    segment = Path(segment_path(str(path)))
+    pristine_segment = segment.read_bytes()
+    committed = state["segment"]["length"]
+    expected = stream_signature(chaos.stream_baseline)
+    for mode in SEGMENT_MODES:
+        segment.write_bytes(
+            corrupt_segment(pristine_segment, committed, rng, mode)
+        )
+        if mode != "tail":
+            damaged(f"segment-{mode}")
+            continue
+        resumed = stream_dataset(
+            chaos.pristine, resume_state=load_checkpoint(str(path))
+        )
+        outcome.check(
+            stream_signature(resumed) == expected,
+            "segment-tail: torn tail ignored, resume byte-identical",
+        )
     return outcome
 
 

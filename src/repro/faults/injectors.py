@@ -18,7 +18,9 @@ paper treat exactly these loss channels as the object of study):
 * :func:`corrupt_mrt_length` — a mangled length field, after which the
   archive cannot be re-synchronised;
 * :func:`corrupt_checkpoint` — a checkpoint file truncated, bit-flipped,
-  or replaced with garbage mid-write.
+  or replaced with garbage mid-write;
+* :func:`corrupt_segment` — a checkpoint's results segment with a torn
+  tail past its committed length, cut below it, or bit-flipped inside it.
 
 ``INJECTOR_NAMES`` lists the scenario names ``repro chaos`` exposes.
 """
@@ -210,3 +212,32 @@ def corrupt_checkpoint(raw: bytes, rng: random.Random, mode: str) -> bytes:
     if mode == "garbage":
         return _garbage_line(rng) + b"\n" + _garbage_line(rng)
     raise ValueError(f"unknown checkpoint corruption mode {mode!r}")
+
+
+#: Damage modes of :func:`corrupt_segment`.
+SEGMENT_MODES = ("tail", "cut", "bitflip")
+
+
+def corrupt_segment(
+    raw: bytes, committed: int, rng: random.Random, mode: str
+) -> bytes:
+    """Damage a results segment whose first ``committed`` bytes are live.
+
+    ``tail`` appends a torn chunk past the committed length — what a
+    save killed between its append and its frontier rename leaves, and
+    the one mode a resume must absorb silently; ``cut`` truncates the
+    segment below the committed length (lost writes); ``bitflip`` flips
+    one bit inside the committed region (storage rot).  The last two
+    must surface as :class:`~repro.stream.checkpoint.CheckpointError`.
+    """
+    if committed < 1:
+        raise ValueError("segment damage needs a non-empty committed region")
+    if mode == "tail":
+        return raw[:committed] + b'{"raw_failures":{"syslog":[["torn'
+    if mode == "cut":
+        return raw[: rng.randint(0, committed - 1)]
+    if mode == "bitflip":
+        data = bytearray(raw)
+        data[rng.randint(0, committed - 1)] ^= 1 << rng.randint(0, 7)
+        return bytes(data)
+    raise ValueError(f"unknown segment corruption mode {mode!r}")

@@ -22,12 +22,15 @@ derives from the chaos seed.
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import signal
 import socket
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.faults.injectors import corrupt_segment
 from repro.faults.ledger import CHANNEL_CHECKPOINT, CHANNEL_SERVICE
 from repro.service.clock import Clock
 from repro.service.framing import (
@@ -43,6 +46,7 @@ from repro.service.worker import (
     REASON_BAD_CHECKPOINT,
     replay_lines,
 )
+from repro.stream.checkpoint import segment_path
 
 #: Wall-clock ceiling for any single wait (the scenarios poll state, so
 #: normal runs finish far sooner; the ceiling only bounds a hung run).
@@ -338,70 +342,117 @@ def _scenario_torn_frames(chaos: "_Chaos") -> "ScenarioOutcome":  # noqa: F821
     return outcome
 
 
+def _tear_frontier(state_dir: Path, rng: random.Random) -> None:
+    # A torn frontier write: a truncated JSON prefix.
+    path = state_dir / CHECKPOINT_FILE
+    raw = path.read_bytes()
+    path.write_bytes(raw[: max(1, len(raw) // 3)])
+
+
+#: Damage done to a tenant's state directory between death and restart.
+_Damage = Callable[[Path, random.Random], None]
+
+
+def _segment_damage(mode: str) -> _Damage:
+    def damage(state_dir: Path, rng: random.Random) -> None:
+        frontier = json.loads((state_dir / CHECKPOINT_FILE).read_bytes())
+        segment = Path(segment_path(str(state_dir / CHECKPOINT_FILE)))
+        segment.write_bytes(
+            corrupt_segment(
+                segment.read_bytes(), frontier["segment"]["length"], rng, mode
+            )
+        )
+
+    return damage
+
+
+#: Checkpoint damage applied between a worker's death and its restart:
+#: (label, damage over the state directory, ledgered as corrupt?).
+CHECKPOINT_DAMAGE: Tuple[Tuple[str, _Damage, bool], ...] = (
+    ("frontier-torn", _tear_frontier, True),
+    ("segment-tail", _segment_damage("tail"), False),
+    ("segment-cut", _segment_damage("cut"), True),
+    ("segment-bitflip", _segment_damage("bitflip"), True),
+)
+
+
 def _scenario_checkpoint_corrupt(chaos: "_Chaos") -> "ScenarioOutcome":  # noqa: F821
-    """Corrupt the checkpoint between restarts: the worker falls back to
-    a full journal replay and still recovers byte-identically."""
+    """Damage the checkpoint between restarts, once per damage mode.
+
+    A torn frontier, or a results segment cut or bit-flipped inside its
+    committed region, makes the worker fall back to a full journal
+    replay, ledgered exactly once; a torn segment tail past the
+    committed length (a kill between append and rename) is absorbed
+    silently.  Every run still recovers byte-identically.
+    """
     from repro.faults.chaos import ScenarioOutcome, stream_signature
 
     outcome = ScenarioOutcome("service-checkpoint-corrupt")
     clock = Clock()
+    rng = chaos.rng("service-checkpoint-corrupt")
     lines = corpus_lines(chaos.pristine.syslog_text)
     half = len(lines) // 2
-    service = _tenant_service(chaos, "service-checkpoint-corrupt")
-    service.start()
-    try:
-        runtime = service.tenants["tenant0"]
-        checkpoint_path = runtime.state_dir / CHECKPOINT_FILE
-        _send_lines(runtime.tcp_port, lines[:half], encode_lf_delimited)
-        if not _wait_for(
-            clock,
-            lambda: checkpoint_path.exists(),
-            "the first checkpoint write",
-            outcome,
-        ):
-            return outcome
-        os.kill(runtime.process.pid, signal.SIGKILL)
-        # Between death and restart, the checkpoint is damaged the way a
-        # torn write would: a truncated JSON prefix.
-        raw = checkpoint_path.read_bytes()
-        checkpoint_path.write_bytes(raw[: max(1, len(raw) // 3)])
-        _send_lines(runtime.tcp_port, lines[half:], encode_lf_delimited)
-        _wait_for(
-            clock,
-            lambda: (
-                lambda t: t["state"] == "running"
-                and t["worker"]["lines_seen"] >= len(lines)
-            )(service.status()["tenants"]["tenant0"]),
-            "restarted worker to replay past the corrupt checkpoint",
-            outcome,
-        )
-    finally:
-        results = service.stop()
-    result = results["tenant0"]
-    outcome.check(
-        result["restarts"] == 1, f"exactly one restart ({result['restarts']})"
-    )
-    report = result.get("report")
-    outcome.check(report is not None, "worker produced its final report")
-    if report is None:
-        return outcome
-    checkpoint_ledger = report["ledger"].get(CHANNEL_CHECKPOINT, {})
-    outcome.drops = report["dropped"]
-    outcome.check(
-        checkpoint_ledger.get("reasons", {}).get(REASON_BAD_CHECKPOINT, 0) == 1,
-        "corrupt checkpoint ledgered with a typed reason",
-    )
     clean, _ = replay_lines(
         load_tenant_context("tenant0", chaos.pristine_dir), lines
     )
-    outcome.check(
-        report["signature"] == stream_signature(clean),
-        "full-replay recovery byte-identical to a clean run",
-    )
-    outcome.check(
-        report["dropped"] == 1 and result["frontend_dropped"] == 0,
-        "no message lost — the only ledger entry is the checkpoint itself",
-    )
+    for label, damage, ledgered in CHECKPOINT_DAMAGE:
+        service = _tenant_service(chaos, f"service-checkpoint-corrupt-{label}")
+        service.start()
+        try:
+            runtime = service.tenants["tenant0"]
+            checkpoint_path = runtime.state_dir / CHECKPOINT_FILE
+            _send_lines(runtime.tcp_port, lines[:half], encode_lf_delimited)
+            if not _wait_for(
+                clock,
+                lambda: checkpoint_path.exists(),
+                f"{label}: the first checkpoint write",
+                outcome,
+            ):
+                return outcome
+            worker = runtime.process
+            os.kill(worker.pid, signal.SIGKILL)
+            # SIGKILL is asynchronous: damage only a dead worker's files,
+            # or a save still in flight could overwrite the damage.
+            worker.join(timeout=WAIT_CEILING)
+            damage(runtime.state_dir, rng)
+            _send_lines(runtime.tcp_port, lines[half:], encode_lf_delimited)
+            _wait_for(
+                clock,
+                lambda: (
+                    lambda t: t["state"] == "running"
+                    and t["worker"]["lines_seen"] >= len(lines)
+                )(service.status()["tenants"]["tenant0"]),
+                f"{label}: restarted worker to replay past the damage",
+                outcome,
+            )
+        finally:
+            results = service.stop()
+        result = results["tenant0"]
+        outcome.check(
+            result["restarts"] == 1,
+            f"{label}: exactly one restart ({result['restarts']})",
+        )
+        report = result.get("report")
+        outcome.check(
+            report is not None, f"{label}: worker produced its final report"
+        )
+        if report is None:
+            return outcome
+        outcome.drops += report["dropped"]
+        checkpoint_ledger = report["ledger"].get(CHANNEL_CHECKPOINT, {})
+        expected = 1 if ledgered else 0
+        outcome.check(
+            checkpoint_ledger.get("reasons", {}).get(REASON_BAD_CHECKPOINT, 0)
+            == expected
+            and report["dropped"] == expected
+            and result["frontend_dropped"] == 0,
+            f"{label}: ledger holds {expected} corrupt-checkpoint drop(s), "
+            f"nothing else",
+        )
+        outcome.check(
+            report["signature"] == stream_signature(clean),
+            f"{label}: recovery byte-identical to a clean run",
+        )
     return outcome
 
 

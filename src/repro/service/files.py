@@ -2,11 +2,12 @@
 
 The service's cross-process state — heartbeats, checkpoint-adjacent
 reports, stop requests — lives in small JSON documents inside each
-tenant's state directory.  Writers always go through a sibling temp file
-and :func:`os.replace`, the same discipline
-:func:`repro.stream.checkpoint.save_checkpoint` established, so a reader
-never observes a torn document: it sees the previous complete version or
-the new complete version, nothing in between.  Readers treat a missing
+tenant's state directory.  Writers go through
+:func:`repro.util.atomic.write_json_atomic` (re-exported here), the
+writer :func:`repro.stream.checkpoint.save_checkpoint` also uses for its
+frontier document, so a reader never observes a torn document: it sees
+the previous complete version or the new one, nothing in between.
+Readers treat a missing
 or (transiently) undecodable file as "no document yet" rather than an
 error — the writer may simply not have produced one.
 """
@@ -17,16 +18,9 @@ import json
 import os
 from typing import Any, Dict, Optional
 
+from repro.util.atomic import write_json_atomic
 
-def write_json_atomic(path: "str | os.PathLike[str]", document: Dict[str, Any]) -> None:
-    """Write ``document`` to ``path`` so readers never see a torn file."""
-    target = os.fspath(path)
-    temp_path = f"{target}.tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, target)
+__all__ = ["read_json", "touch_marker", "write_json_atomic"]
 
 
 def read_json(path: "str | os.PathLike[str]") -> Optional[Dict[str, Any]]:

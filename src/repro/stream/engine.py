@@ -25,9 +25,11 @@ retracted, and the end-of-stream :class:`StreamResult` is exactly what
 :func:`repro.core.pipeline.run_analysis` computes from the same data —
 the equivalence the test suite enforces seed by seed.
 
-The engine's entire state serialises to JSON (:meth:`checkpoint_state`)
-and restores with :meth:`StreamEngine.restore`, so a killed stream
-resumes mid-campaign and finishes with byte-identical results.
+The engine's state serialises to JSON — a live frontier plus the
+finalised results, which :func:`~repro.stream.checkpoint.save_checkpoint`
+appends once each to a results segment — and restores with
+:meth:`StreamEngine.restore`, so a killed stream resumes mid-campaign
+and finishes with byte-identical results.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ class StreamEngine:
             "isis_ip_messages": 0,
         }
         self._result: Optional[StreamResult] = None
+        #: What save_checkpoint has committed to this engine's results
+        #: segment (a :class:`~repro.stream.checkpoint.SegmentMark`).
+        self._segment: Optional[checkpoint_codec.SegmentMark] = None
 
     # ------------------------------------------------------------ intake
     def process(self, event: StreamEvent) -> None:
@@ -398,10 +403,6 @@ class StreamEngine:
         }
 
     # ------------------------------------------------------- checkpoint
-    def checkpoint_state(self) -> Dict[str, object]:
-        """The engine's full state as a JSON-serialisable dict."""
-        return checkpoint_codec.encode_engine(self)
-
     @classmethod
     def restore(
         cls,
@@ -410,8 +411,9 @@ class StreamEngine:
         listener_outages: IntervalSet,
         tickets: Optional[TicketSystem],
     ) -> "StreamEngine":
-        """Rebuild an engine from :meth:`checkpoint_state` output."""
-        return checkpoint_codec.decode_engine(
+        """Rebuild an engine from
+        :func:`~repro.stream.checkpoint.load_checkpoint` output."""
+        return checkpoint_codec.restore_engine(
             state, resolver, listener_outages, tickets
         )
 

@@ -7,7 +7,9 @@ paired with shipped-tree checks proving the finding is the injection,
 not background noise.
 
 * A501 — the rename that seals ``write_json_atomic`` severed in
-  ``service/files.py``, and an early return planted before it;
+  ``util/atomic.py`` (the one writer ``service/files.py`` re-exports and
+  ``save_checkpoint`` publishes through), and an early return planted
+  before it;
 * A502 — a bare truncating write injected into ``service/worker.py``;
 * A503 — an f-string ledger reason injected into the same worker.
 """
@@ -20,7 +22,8 @@ from repro.devtools.base import Project, REGISTRY, SourceModule
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-FILES_PATH = SRC / "repro" / "service" / "files.py"
+FILES_PATH = SRC / "repro" / "util" / "atomic.py"
+SERVICE_FILES_PATH = SRC / "repro" / "service" / "files.py"
 WORKER_PATH = SRC / "repro" / "service" / "worker.py"
 
 
@@ -104,8 +107,18 @@ def test_early_return_before_rename_trips_a501():
 
 def test_shipped_service_files_are_clean_for_a_rules():
     modules = src_modules(FILES_PATH, FILES_PATH.read_text("utf-8"))
-    for rule_id in ("A501", "A502", "A503"):
-        assert run_rule(rule_id, modules, FILES_PATH) == []
+    for path in (FILES_PATH, SERVICE_FILES_PATH):
+        for rule_id in ("A501", "A502", "A503"):
+            assert run_rule(rule_id, modules, path) == []
+
+
+def test_writer_module_is_in_a501_a502_scope():
+    # The shared writer lives outside repro.service/repro.stream; the
+    # severed-rename and bare-write proofs only mean something if the
+    # rules actually visit it.
+    module = SourceModule(str(FILES_PATH), FILES_PATH.read_text("utf-8"))
+    for rule_id in ("A501", "A502"):
+        assert REGISTRY[rule_id].applies_to(module)
 
 
 # ------------------------------------------------------------- A502

@@ -30,6 +30,7 @@ from repro.faults.injectors import (
     bitflip_mrt_payloads,
     corrupt_checkpoint,
     corrupt_mrt_length,
+    corrupt_segment,
     inject_garbage_lines,
     truncate_log_lines,
     truncate_mrt,
@@ -51,6 +52,7 @@ from repro.isis.mrt import (
     MrtFormatError,
 )
 from repro.stream.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     decode_engine,
     load_checkpoint,
@@ -401,11 +403,29 @@ class TestCheckpointHardening:
         # Version-tagged but hollow: the KeyError inside the codec must
         # surface as a CheckpointError, never leak raw.
         with pytest.raises(CheckpointError, match="structure invalid"):
-            decode_engine({"version": 1}, _StubResolver(), IntervalSet([]), None)
+            decode_engine(
+                {"version": CHECKPOINT_VERSION},
+                _StubResolver(),
+                IntervalSet([]),
+                None,
+            )
 
     def test_decode_engine_rejects_non_dict(self):
         with pytest.raises(CheckpointError, match="not an object"):
             decode_engine([1, 2], _StubResolver(), IntervalSet([]), None)
+
+    def test_segment_damage_modes(self):
+        raw = b"".join(b'{"chunk":%d}\n' % i for i in range(20))
+        committed = len(raw) - 12
+        tail = corrupt_segment(raw, committed, rng("seg-tail"), "tail")
+        assert tail[:committed] == raw[:committed] and len(tail) > committed
+        cut = corrupt_segment(raw, committed, rng("seg-cut"), "cut")
+        assert len(cut) < committed and raw.startswith(cut)
+        flipped = corrupt_segment(raw, committed, rng("seg-flip"), "bitflip")
+        assert len(flipped) == len(raw)
+        assert [i for i in range(len(raw)) if raw[i] != flipped[i]][0] < committed
+        with pytest.raises(ValueError):
+            corrupt_segment(raw, committed, rng(), "shred")
 
 
 def test_injector_names_match_the_chaos_scenarios():

@@ -9,6 +9,7 @@ growing-file tailer's torn-write handling (`repro.stream.sources
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -238,6 +239,45 @@ class TestAtomicFiles:
         scalar = tmp_path / "scalar.json"
         scalar.write_text("42", encoding="utf-8")
         assert read_json(scalar) is None
+
+    def test_writes_exactly_what_json_dump_would(
+        self, tmp_path, small_dataset, monkeypatch
+    ):
+        # One C-encoder pass and one write, byte-identical to the
+        # streaming encoder, on the frontier document a real
+        # save_checkpoint hands the writer.
+        from repro.core.links import LinkResolver
+        from repro.stream import checkpoint
+        from repro.stream.engine import StreamEngine
+        from repro.stream.sources import dataset_event_stream
+
+        resolver = LinkResolver(small_dataset.inventory)
+        engine = StreamEngine(
+            resolver,
+            small_dataset.analysis_start,
+            small_dataset.horizon_end,
+            small_dataset.listener_outages,
+            small_dataset.tickets,
+        )
+        for index, event in enumerate(dataset_event_stream(small_dataset, resolver)):
+            engine.process(event)
+            if index == 3000:
+                break
+        documents = []
+
+        def capture(path, document):
+            documents.append(document)
+            write_json_atomic(path, document)
+
+        monkeypatch.setattr(checkpoint, "write_json_atomic", capture)
+        written = tmp_path / "engine.ckpt"
+        checkpoint.save_checkpoint(str(written), engine)
+        (document,) = documents
+        assert document["timelines"]["syslog"] and document["segment"]["length"]
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, separators=(",", ":"))
+        assert written.read_bytes() == reference.read_bytes()
 
     def test_no_temp_file_left_behind(self, tmp_path):
         write_json_atomic(tmp_path / "doc.json", {"a": 1})

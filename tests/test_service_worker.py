@@ -6,8 +6,9 @@ checkpoint, re-tails from byte zero, and skips `events_consumed`
 released events must finish byte-identical to a never-killed run.
 These tests prove that in-process — kill points swept across the
 corpus, checkpoints namespaced per tenant, a kill mid-checkpoint-write
-leaving the previous checkpoint usable — plus the ledger typing of
-every degradation `run_worker` can hit.
+(frontier or results segment) leaving the previous checkpoint usable —
+plus the ledger typing of every degradation `run_worker` can hit,
+damaged results segments included.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ from repro.service.worker import (
     replay_lines,
     run_worker,
 )
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint
+from repro.faults.injectors import corrupt_segment
+from repro.stream import checkpoint as checkpoint_codec
+from repro.stream.checkpoint import load_checkpoint, save_checkpoint, segment_path
 from repro.stream.engine import StreamEngine
 from repro.syslog.message import SyslogMessage, render_rfc5424
+from repro.util.rand import child_rng
 from repro.util.timefmt import format_timestamp
 
 
@@ -184,6 +188,46 @@ class TestConcurrentTenantCheckpoints:
             resumed.feed_line(line)
         assert stream_signature(resumed.finish()) == clean
 
+    def test_kill_between_segment_append_and_rename_keeps_previous(
+        self, tmp_path, monkeypatch, context, corpus, clean
+    ):
+        # A death after the results chunk is appended but before the new
+        # frontier is renamed in: the old frontier's committed length
+        # excludes the tail, so resume is exact and the tail is cut by
+        # the next save.
+        checkpoint = tmp_path / CHECKPOINT_FILE
+        segment = Path(segment_path(str(checkpoint)))
+        pipeline = TenantPipeline(context)
+        for line in corpus[: len(corpus) // 3]:
+            pipeline.feed_line(line)
+        save_checkpoint(str(checkpoint), pipeline.engine)
+        committed = segment.stat().st_size
+        for line in corpus[len(corpus) // 3 : (2 * len(corpus)) // 3]:
+            pipeline.feed_line(line)
+
+        def killed(path, document):
+            raise KeyboardInterrupt("killed before the rename")
+
+        monkeypatch.setattr(checkpoint_codec, "write_json_atomic", killed)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(str(checkpoint), pipeline.engine)
+        monkeypatch.undo()
+        assert segment.stat().st_size > committed
+
+        resumed = TenantPipeline(context, engine=_restore(checkpoint, context))
+        restored_at = resumed.engine.events_consumed
+        saved = False
+        for line in corpus:
+            resumed.feed_line(line)
+            if not saved and resumed.engine.events_consumed >= restored_at + 50:
+                save_checkpoint(str(checkpoint), resumed.engine)
+                saved = True
+        assert saved
+        assert stream_signature(resumed.finish()) == clean
+        state = load_checkpoint(str(checkpoint))
+        assert state["segment"]["length"] == segment.stat().st_size
+        assert len(state["results"]) == 2
+
 
 class TestRunWorker:
     def _state_dir(self, tmp_path, corpus, *, tail=b""):
@@ -243,6 +287,49 @@ class TestRunWorker:
             ]
             == 1
         )
+
+    def _half_checkpoint(self, state_dir, context, corpus):
+        pipeline = TenantPipeline(context)
+        for line in corpus[: len(corpus) // 2]:
+            pipeline.feed_line(line)
+        save_checkpoint(str(state_dir / CHECKPOINT_FILE), pipeline.engine)
+        return Path(segment_path(str(state_dir / CHECKPOINT_FILE)))
+
+    @pytest.mark.parametrize("mode", ["cut", "bitflip"])
+    def test_damaged_segment_recovers_by_full_replay(
+        self, tmp_path, service_profile_dir, corpus, clean, context, mode
+    ):
+        state_dir = self._state_dir(tmp_path, corpus)
+        segment = self._half_checkpoint(state_dir, context, corpus)
+        raw = segment.read_bytes()
+        segment.write_bytes(
+            corrupt_segment(raw, len(raw), child_rng(11, mode), mode)
+        )
+        assert run_worker(self._config(state_dir, service_profile_dir)) == 0
+        report = read_report(state_dir)
+        assert report["signature"] == clean
+        assert (
+            report["ledger"][CHANNEL_CHECKPOINT]["reasons"][
+                REASON_BAD_CHECKPOINT
+            ]
+            == 1
+        )
+        assert report["dropped"] == 1
+
+    def test_segment_tail_resumes_without_ledger_entry(
+        self, tmp_path, service_profile_dir, corpus, clean, context
+    ):
+        state_dir = self._state_dir(tmp_path, corpus)
+        segment = self._half_checkpoint(state_dir, context, corpus)
+        raw = segment.read_bytes()
+        segment.write_bytes(
+            corrupt_segment(raw, len(raw), child_rng(11, "tail"), "tail")
+        )
+        assert run_worker(self._config(state_dir, service_profile_dir)) == 0
+        report = read_report(state_dir)
+        assert report["signature"] == clean
+        assert report["dropped"] == 0
+        assert CHANNEL_CHECKPOINT not in report["ledger"]
 
     def test_resume_from_real_checkpoint(
         self, tmp_path, service_profile_dir, corpus, clean, context

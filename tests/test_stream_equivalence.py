@@ -6,17 +6,20 @@ produces, at end of stream, *precisely* the results of
 :func:`repro.core.pipeline.run_analysis` — same failures (with the same
 attached transitions), same sanitisation ledger, same greedy match, same
 Table 3 coverage, same flap episodes — and checkpointing the engine at
-any cut, round-tripping the state through real JSON, and resuming
-changes nothing.
+any cut, through a real frontier file and results segment, and
+resuming changes nothing.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro import AnalysisResult, Dataset, ScenarioConfig, run_analysis, run_scenario
+from repro.faults.injectors import corrupt_segment
 from repro.stream import (
     CheckpointError,
     StreamEngine,
@@ -24,7 +27,10 @@ from repro.stream import (
     save_checkpoint,
     stream_dataset,
 )
+from repro.stream import checkpoint as codec
+from repro.stream.checkpoint import segment_path
 from repro.stream.engine import StreamOptions, StreamResult
+from repro.util.rand import child_rng
 
 #: Short fresh campaigns on the acceptance seeds (the session-scoped
 #: three-week seed-11 campaign from conftest is exercised separately).
@@ -171,23 +177,59 @@ class TestCheckpointResume:
     def _total_events(self, dataset: Dataset) -> int:
         return stream_dataset(dataset).counters["events"]
 
-    def test_resume_at_arbitrary_cuts(self, seeded_pair):
+    @staticmethod
+    def _snapshot(path, into):
+        """Copy a saved checkpoint (frontier + results segment) aside."""
+        into.mkdir()
+        target = into / path.name
+        shutil.copy(path, target)
+        shutil.copy(segment_path(str(path)), segment_path(str(target)))
+        return target
+
+    def test_resume_at_arbitrary_cuts(self, tmp_path, seeded_pair):
+        # Every cut saves into the same checkpoint, so the segment grows
+        # by appends; each save is snapshotted and resumed from disk.
         dataset, batch = seeded_pair
         total = self._total_events(dataset)
-        cuts = sorted({1, total // 4, total // 2, (3 * total) // 4, total - 1})
-        states = []
-        stream_dataset(
-            dataset,
-            checkpoint_at=cuts,
-            # json round-trip: what a reloaded file would actually contain.
-            on_checkpoint=lambda e: states.append(
-                json.loads(json.dumps(e.checkpoint_state()))
-            ),
+        cuts = sorted(
+            {1, total // 4, total // 2, (3 * total) // 4, total - 1, total}
         )
-        assert len(states) == len(cuts)
-        for cut, state in zip(cuts, states):
+        path = tmp_path / "engine.ckpt"
+        snapshots = []
+
+        def on_checkpoint(engine):
+            save_checkpoint(str(path), engine)
+            snapshots.append(
+                self._snapshot(path, tmp_path / f"cut-{engine.events_consumed}")
+            )
+
+        stream_dataset(dataset, checkpoint_at=cuts, on_checkpoint=on_checkpoint)
+        assert len(snapshots) == len(cuts)
+        for cut, snapshot in zip(cuts, snapshots):
+            state = load_checkpoint(str(snapshot))
             assert state["events_consumed"] == cut
             assert_equivalent(batch, stream_dataset(dataset, resume_state=state))
+
+    def test_resume_save_resume_chain(self, tmp_path, seeded_pair):
+        # A restored engine keeps appending to the segment it was loaded
+        # from, and the twice-resumed stream is still exact.
+        dataset, batch = seeded_pair
+        total = self._total_events(dataset)
+        path = tmp_path / "engine.ckpt"
+        save = lambda e: save_checkpoint(str(path), e)  # noqa: E731
+        stream_dataset(dataset, checkpoint_at=[total // 3], on_checkpoint=save)
+        first = load_checkpoint(str(path))
+        stream_dataset(
+            dataset,
+            resume_state=first,
+            checkpoint_at=[(2 * total) // 3],
+            on_checkpoint=save,
+        )
+        second = load_checkpoint(str(path))
+        assert second["events_consumed"] == (2 * total) // 3
+        assert len(second["results"]) == 2
+        assert second["segment"]["length"] > first["segment"]["length"]
+        assert_equivalent(batch, stream_dataset(dataset, resume_state=second))
 
     def test_save_and_load_file(self, tmp_path, small_dataset, small_analysis):
         total = self._total_events(small_dataset)
@@ -203,15 +245,131 @@ class TestCheckpointResume:
             small_analysis, stream_dataset(small_dataset, resume_state=state)
         )
 
-    def test_periodic_checkpoints(self, small_dataset):
-        counts = []
+    def test_periodic_checkpoints(self, tmp_path, small_dataset, small_analysis):
+        path = tmp_path / "engine.ckpt"
+        snapshots = []
+
+        def on_checkpoint(engine):
+            save_checkpoint(str(path), engine)
+            snapshots.append(
+                self._snapshot(path, tmp_path / f"at-{engine.events_consumed}")
+            )
+
+        stream_dataset(
+            small_dataset, checkpoint_every=1000, on_checkpoint=on_checkpoint
+        )
+        assert snapshots
+        states = [load_checkpoint(str(snapshot)) for snapshot in snapshots]
+        counts = [state["events_consumed"] for state in states]
+        assert counts == [1000 * (i + 1) for i in range(len(counts))]
+        # One chunk appended per save, and the first, a middle and the
+        # last periodic checkpoint all resume exactly.
+        assert [len(state["results"]) for state in states] == list(
+            range(1, len(states) + 1)
+        )
+        for index in sorted({0, len(states) // 2, len(states) - 1}):
+            assert_equivalent(
+                small_analysis,
+                stream_dataset(small_dataset, resume_state=states[index]),
+            )
+
+    def test_fresh_engine_never_extends_a_stale_segment(
+        self, tmp_path, small_dataset, small_analysis
+    ):
+        # A fresh engine saving where another run left a segment (and no
+        # frontier) cuts it to zero instead of appending after it.
+        path = tmp_path / "engine.ckpt"
+        save = lambda e: save_checkpoint(str(path), e)  # noqa: E731
+        stream_dataset(small_dataset, checkpoint_at=[2000], on_checkpoint=save)
+        stale = Path(segment_path(str(path))).stat().st_size
+        path.unlink()
+        stream_dataset(small_dataset, checkpoint_at=[500], on_checkpoint=save)
+        state = load_checkpoint(str(path))
+        segment = Path(segment_path(str(path)))
+        assert state["segment"]["length"] == segment.stat().st_size
+        assert state["segment"]["length"] < stale
+        assert_equivalent(
+            small_analysis, stream_dataset(small_dataset, resume_state=state)
+        )
+
+    def test_fresh_save_killed_over_a_checkpoint_is_typed(
+        self, tmp_path, small_dataset, monkeypatch
+    ):
+        # A fresh engine's first save cuts the segment to zero before its
+        # frontier replaces the old one.  Killed in between, the old
+        # frontier is left pointing at bytes it no longer matches: the
+        # previous checkpoint is lost, but it loads as a typed error,
+        # never as another run's results.
+        from repro.stream import checkpoint
+
+        path = tmp_path / "engine.ckpt"
+        save = lambda e: save_checkpoint(str(path), e)  # noqa: E731
+        stream_dataset(small_dataset, checkpoint_at=[1500], on_checkpoint=save)
+        frontier = path.read_bytes()
+
+        def killed(target, document):
+            raise KeyboardInterrupt("killed before the frontier rename")
+
+        monkeypatch.setattr(checkpoint, "write_json_atomic", killed)
+        for cut in (500, 2500):
+            with pytest.raises(KeyboardInterrupt):
+                stream_dataset(
+                    small_dataset, checkpoint_at=[cut], on_checkpoint=save
+                )
+            assert path.read_bytes() == frontier
+            with pytest.raises(CheckpointError, match="results segment"):
+                load_checkpoint(str(path))
+
+    def test_segment_tail_past_commit_is_ignored(
+        self, tmp_path, small_dataset, small_analysis
+    ):
+        # A save killed between its append and its frontier rename.
+        path = tmp_path / "engine.ckpt"
         stream_dataset(
             small_dataset,
-            checkpoint_every=1000,
-            on_checkpoint=lambda e: counts.append(e.events_consumed),
+            checkpoint_at=[1500],
+            on_checkpoint=lambda e: save_checkpoint(str(path), e),
         )
-        assert counts
-        assert all(count % 1000 == 0 for count in counts)
+        committed = load_checkpoint(str(path))["segment"]["length"]
+        with open(segment_path(str(path)), "ab") as handle:
+            handle.write(b'{"raw_failures":{"syslog":[["torn')
+        state = load_checkpoint(str(path))
+        assert state["segment"]["length"] == committed
+        assert_equivalent(
+            small_analysis, stream_dataset(small_dataset, resume_state=state)
+        )
+
+    @pytest.mark.parametrize("mode", ["cut", "bitflip", "missing"])
+    def test_damaged_segment_raises_typed(self, tmp_path, small_dataset, mode):
+        path = tmp_path / "engine.ckpt"
+        stream_dataset(
+            small_dataset,
+            checkpoint_at=[1500],
+            on_checkpoint=lambda e: save_checkpoint(str(path), e),
+        )
+        segment = Path(segment_path(str(path)))
+        raw = segment.read_bytes()
+        if mode == "missing":
+            segment.unlink()
+        else:
+            damaged = corrupt_segment(raw, len(raw), child_rng(7, mode), mode)
+            segment.write_bytes(damaged)
+        with pytest.raises(CheckpointError, match="results segment"):
+            load_checkpoint(str(path))
+
+    def test_whole_history_document_is_refused(self, tmp_path, small_dataset):
+        # The pre-segment layout (version 1) is not kept as a fallback.
+        path = tmp_path / "engine.ckpt"
+        stream_dataset(
+            small_dataset,
+            checkpoint_at=[500],
+            on_checkpoint=lambda e: save_checkpoint(str(path), e),
+        )
+        document = json.loads(path.read_text())
+        document["version"] = 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(str(path))
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -229,7 +387,7 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
 
-    def test_finished_engine_refuses_checkpoint(self, small_dataset):
+    def test_finished_engine_refuses_checkpoint(self, tmp_path, small_dataset):
         from repro.core.links import LinkResolver
         from repro.stream.sources import dataset_event_stream
 
@@ -245,7 +403,7 @@ class TestCheckpointResume:
             engine.process(event)
         engine.finish()
         with pytest.raises(CheckpointError):
-            engine.checkpoint_state()
+            save_checkpoint(str(tmp_path / "engine.ckpt"), engine)
         with pytest.raises(RuntimeError):
             engine.process(next(dataset_event_stream(small_dataset, resolver)))
 
@@ -266,3 +424,65 @@ class TestCheckpointResume:
         for event in dataset_event_stream(small_dataset, resolver):
             engine.process(event)
         assert engine.finish() is engine.finish()
+
+
+class TestSegmentWrittenOnce:
+    """The segment layout's structural promise, checked at every save."""
+
+    @staticmethod
+    def _assert_matcher_bounded(engine):
+        # A retained failure is undecided, or decided but still able to
+        # overlap something undecided or yet to come on the other side.
+        for link, state in engine.matcher.links.items():
+            bound_b = engine._isis_kept_frontier(link)
+            if state.b_pending:
+                bound_b = min(bound_b, state.b_all[state.b_pending[0]].start)
+            decided_a = state.a_all[: len(state.a_all) - len(state.a_pending)]
+            assert all(f.end > bound_b for f in decided_a), link
+            bound_a = engine._syslog_kept_frontier(link)
+            if state.a_pending:
+                bound_a = min(bound_a, state.a_pending[0].start)
+            undecided = state.b_pending[0] if state.b_pending else len(state.b_all)
+            assert all(f.end > bound_a for f in state.b_all[:undecided]), link
+
+    def test_each_product_written_once_and_matcher_bounded(self, tmp_path):
+        dataset = run_scenario(SEED_CONFIGS[7])
+        path = tmp_path / "engine.ckpt"
+        saves = []
+        retained = []
+
+        def on_checkpoint(engine):
+            save_checkpoint(str(path), engine)
+            frontier = path.read_text(encoding="ascii")
+            segment = Path(segment_path(str(path))).read_bytes()
+            chunks = [json.loads(line) for line in segment.splitlines()]
+            for channel, failures in engine.raw_failures.items():
+                encoded = [codec.encode_failure(f) for f in failures]
+                stored = [
+                    f for chunk in chunks for f in chunk["raw_failures"][channel]
+                ]
+                # Every raw failure exactly once, in emission order ...
+                assert stored == json.loads(json.dumps(encoded))
+                # ... and none of them again in the frontier document.
+                for failure in encoded:
+                    assert json.dumps(failure, separators=(",", ":")) not in frontier
+            self._assert_matcher_bounded(engine)
+            retained.append(
+                sum(
+                    len(state.a_all) + len(state.b_all)
+                    for state in engine.matcher.links.values()
+                )
+            )
+            saves.append(engine.events_consumed)
+
+        # Drains every 500 events too, so each save sees the frontiers the
+        # matcher last pruned against.
+        result = stream_dataset(
+            dataset,
+            StreamOptions(drain_interval=500),
+            checkpoint_every=500,
+            on_checkpoint=on_checkpoint,
+        )
+        assert len(saves) >= 5
+        kept = len(result.syslog_failures) + len(result.isis_failures)
+        assert max(retained) < kept // 4
