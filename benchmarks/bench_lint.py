@@ -1,20 +1,20 @@
-"""Lint driver — wall time over ``src/`` sequential vs parallel vs cached.
+"""Lint driver — wall time over ``src/`` uncached vs cold vs warm cache.
 
 Not a paper table: this bench tracks ``repro lint`` itself, so the
 pre-commit loop (``repro lint --changed``) and the CI job stay fast as
 the rule set and the tree grow.  Three configurations over the same
-files:
+files, all in one process:
 
-* **sequential, no cache** — the baseline: every per-module rule runs
-  in-process, project-wide rules included;
-* **parallel, cold cache** — per-module rules fan out over worker
-  processes and populate the on-disk result cache as they go;
-* **parallel, warm cache** — the pre-commit steady state: per-module
-  results come from the cache keyed on (file bytes, rule-set version),
-  so only the project-wide rules actually run.
+* **no cache** — the baseline: every rule runs, project-wide rules
+  included;
+* **cold cache** — the same work, populating the on-disk result cache
+  as it goes;
+* **warm cache** — the pre-commit steady state: per-module results
+  come from the cache keyed on (file bytes, rule-set version), so only
+  the project-wide rules actually run.
 
 The acceptance bar is the steady state: a warm-cache run must beat the
-uncached sequential run, and all three must agree finding-for-finding.
+uncached run, and all three must agree finding-for-finding.
 """
 
 from __future__ import annotations
@@ -26,20 +26,15 @@ import pytest
 from _bench_utils import emit
 from repro.core.report import render_table
 from repro.devtools.cache import LintCache
-from repro.devtools.lint import (
-    collect_files,
-    default_jobs,
-    lint_project,
-    load_project,
-)
+from repro.devtools.lint import collect_files, lint_project, load_project
 
 LINT_PATHS = ["src"]
 
-# Budget for the parallel cold-cache run: twice the 5.9s measured when
-# the rule set stopped at the parallel-safety tier.  Later tiers, such
-# as the per-file atomicity rules (A501–A503), must not double the cold
-# lint; a regression here means a rule is re-deriving project state
-# instead of using the memoised analyses.
+# Budget for the cold-cache run: twice the 5.9s measured when the rule
+# set stopped at the parallel-safety tier.  Later tiers, such as the
+# per-file atomicity rules (A501–A503), must not double the cold lint;
+# a regression here means a rule is re-deriving project state instead
+# of using the memoised analyses.
 COLD_LINT_BUDGET_SECONDS = 11.8
 
 
@@ -50,35 +45,31 @@ def lint_files():
     return files
 
 
-def _timed_run(files, *, jobs, cache):
+def _timed_run(files, *, cache):
     project = load_project(files)  # re-parse each round: a real run
     start = time.perf_counter()
-    active, suppressed = lint_project(
-        project, jobs=jobs, cache=cache
-    )
+    active, suppressed = lint_project(project, cache=cache)
     elapsed = time.perf_counter() - start
     return active, suppressed, elapsed
 
 
 def build_table(files, cache_dir) -> str:
-    jobs = default_jobs()
-    sequential = _timed_run(files, jobs=1, cache=None)
+    sequential = _timed_run(files, cache=None)
     cache = LintCache(str(cache_dir))
-    cold = _timed_run(files, jobs=jobs, cache=cache)
+    cold = _timed_run(files, cache=cache)
     assert cache.hits == 0, "first cached run must be all misses"
-    warm = _timed_run(files, jobs=jobs, cache=cache)
+    warm = _timed_run(files, cache=cache)
     assert cache.hits >= len(files), "second run must hit the cache"
 
     # All three configurations must agree finding-for-finding.
     assert sequential[0] == cold[0] == warm[0]
     assert sequential[1] == cold[1] == warm[1]
-    # The steady state must beat the uncached sequential run.
+    # The steady state must beat the uncached run.
     assert warm[2] < sequential[2], (
-        f"warm cache ({warm[2]:.2f}s) must beat sequential "
+        f"warm cache ({warm[2]:.2f}s) must beat uncached "
         f"({sequential[2]:.2f}s)"
     )
-    # The cold parallel run carries every tier and must stay inside the
-    # budget.
+    # The cold run carries every tier and must stay inside the budget.
     assert cold[2] < COLD_LINT_BUDGET_SECONDS, (
         f"cold lint ({cold[2]:.2f}s) blew the "
         f"{COLD_LINT_BUDGET_SECONDS}s budget"
@@ -94,13 +85,9 @@ def build_table(files, cache_dir) -> str:
         ]
 
     rows = [
-        row("sequential, no cache", sequential, "baseline"),
-        row("parallel, cold cache", cold, f"jobs={jobs}, all misses"),
-        row(
-            "parallel, warm cache",
-            warm,
-            "steady state: only project-wide rules run",
-        ),
+        row("no cache", sequential, "baseline"),
+        row("cold cache", cold, "all misses"),
+        row("warm cache", warm, "steady state: only project-wide rules run"),
         [
             "findings",
             f"{len(sequential[0])} active",

@@ -154,9 +154,8 @@ class Rule:
     rationale: str = ""
     scope: Optional[Tuple[str, ...]] = None
     #: Rules whose findings depend on *other* modules (class lookups,
-    #: the call graph) must run in the main process over the full
-    #: :class:`Project`; per-module rules can be parallelised and their
-    #: results cached per file.
+    #: the call graph) must run over the full :class:`Project`; per-module
+    #: rules have their results cached per file.
     project_wide: bool = False
 
     def applies_to(self, module: SourceModule) -> bool:

@@ -436,38 +436,6 @@ class CallGraph:
                         names.append(child.attr)
         return names
 
-    # ------------------------------------------------------- resolution
-    def resolve_callable(
-        self, dotted: str, module: SourceModule
-    ) -> Optional[str]:
-        """Resolve a function *reference* (not a call) spelled in
-        ``module`` — e.g. the first argument of ``pool.submit(f, ...)``
-        — to a graph qualname, through import aliases, package
-        re-exports, the module-local prefix, and ``Class.method``."""
-        imports = self._imports.get(module.path)
-        if imports is None:
-            return None
-        resolved = imports.resolve(dotted)
-        for _ in range(4):
-            if resolved in self.functions:
-                return resolved
-            target = self.reexports.get(resolved)
-            if target is None or target == resolved:
-                break
-            resolved = target
-        if resolved in self.functions:
-            return resolved
-        parts = dotted.split(".")
-        if len(parts) == 1:
-            prefix = self._module_names.get(module.path)
-            if prefix is not None:
-                local = f"{prefix}.{dotted}"
-                if local in self.functions:
-                    return local
-        if len(parts) == 2:
-            return self._method(parts[0], parts[1])
-        return None
-
     # ----------------------------------------------------- reachability
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """Every function reachable from ``roots`` over call edges,

@@ -5,14 +5,14 @@ comments and the committed baseline, and reports the remainder in human
 or ``--format json`` form.  Exit status: 0 clean, 1 findings, 2 usage or
 configuration error — CI treats any non-zero as a failed build.
 
-Per-module rules run in parallel across files (``--jobs``) and their
-results are cached on disk keyed by *(file bytes, rule set)*
-(:mod:`repro.devtools.cache`); project-wide rules — codec drift,
-mutable-singleton classification, the interprocedural R-rules — always
-run in the main process over the full :class:`Project`.  ``--changed
-[REF]`` restricts per-module linting to files differing from a git ref
-for fast pre-commit runs, while the project-wide rules still see every
-file so interprocedural findings stay sound.
+Per-module rules run file by file and their results are cached on
+disk keyed by *(file bytes, rule set)* (:mod:`repro.devtools.cache`);
+project-wide rules — codec drift, mutable-singleton classification,
+the interprocedural R-rules — always run over the full
+:class:`Project`.  ``--changed [REF]`` restricts per-module linting to
+files differing from a git ref for fast pre-commit runs, while the
+project-wide rules still see every file so interprocedural findings
+stay sound.
 
 Configuration lives in ``[tool.reprolint]`` in ``pyproject.toml``::
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -172,9 +171,9 @@ def check_module_local(
 ) -> List[Finding]:
     """Raw per-module findings: the selected per-module rules plus the
     X001/S001 pseudo-rules.  Pure in *(module text, rule ids)* — this is
-    the unit the cache stores and the worker processes compute.  When
-    ``timings`` is given, each rule's wall time is accumulated into it
-    (cache hits never get here, so they contribute zero by design)."""
+    the unit the cache stores.  When ``timings`` is given, each rule's
+    wall time is accumulated into it (cache hits never get here, so they
+    contribute zero by design)."""
     findings: List[Finding] = []
     if module.syntax_error is not None:
         findings.append(
@@ -189,10 +188,10 @@ def check_module_local(
         )
         return findings
     # Per-module rules by construction never look past `module`, so a
-    # single-module project is sufficient (and picklable-free) here.
+    # single-module project is sufficient here.
     local_project = Project([module])
     for rule_id in rule_ids:
-        rule = REGISTRY[rule_id]  # reprolint: disable=W003 -- the registry is populated by imports in every process (parent and pool workers alike) and never mutated during a run
+        rule = REGISTRY[rule_id]
         if rule.applies_to(module):
             if timings is None:
                 findings.extend(rule.check(module, local_project))
@@ -220,42 +219,10 @@ def check_module_local(
     return findings
 
 
-def _lint_file_worker(
-    job: Tuple[str, str, Tuple[str, ...], bool]
-) -> Tuple[str, List[Dict[str, object]], Dict[str, float]]:
-    """Pool worker: re-parse one file and run the per-module rules."""
-    path, text, rule_ids, stats = job
-    module = SourceModule(path, text)
-    timings: Dict[str, float] = {}
-    findings = check_module_local(
-        module, rule_ids, timings if stats else None
-    )
-    return path, [f.to_json() for f in findings], timings
-
-
-def _finding_from_json(entry: Dict[str, object]) -> Finding:
-    return Finding(
-        rule=str(entry["rule"]),
-        path=str(entry["path"]),
-        line=int(entry["line"]),  # type: ignore[arg-type]
-        column=int(entry["column"]),  # type: ignore[arg-type]
-        message=str(entry["message"]),
-        snippet=str(entry.get("snippet", "")),
-    )
-
-
-def default_jobs() -> int:
-    try:
-        return max(1, min(os.cpu_count() or 1, 8))
-    except (ValueError, OSError):  # pragma: no cover - defensive
-        return 1
-
-
 def lint_project(
     project: Project,
     rule_ids: Optional[Iterable[str]] = None,
     *,
-    jobs: int = 1,
     cache: Optional[LintCache] = None,
     targets: Optional[Set[str]] = None,
     stats: Optional[Dict[str, float]] = None,
@@ -263,12 +230,12 @@ def lint_project(
     """Run the registry over a project.
 
     Per-module rules run only over ``targets`` (default: every module),
-    parallelised across ``jobs`` processes with optional caching;
-    project-wide rules always see the whole project.  Returns
-    ``(active, suppressed)``: findings that count against the exit
-    status, and findings silenced by suppression comments.  When
-    ``stats`` is given, per-rule wall seconds are accumulated into it;
-    cache hits contribute zero (the work they saved never ran).
+    with optional caching; project-wide rules always see the whole
+    project.  Returns ``(active, suppressed)``: findings that count
+    against the exit status, and findings silenced by suppression
+    comments.  When ``stats`` is given, per-rule wall seconds are
+    accumulated into it; cache hits contribute zero (the work they saved
+    never ran).
     """
     selected = (
         {rule_id: REGISTRY[rule_id] for rule_id in rule_ids}
@@ -292,44 +259,18 @@ def lint_project(
     ]
 
     raw: List[Finding] = []
-    pending: List[SourceModule] = []
-    keys: Dict[str, str] = {}
     for module in target_modules:
-        if cache is not None:
-            key = cache.key(module.path, module.text, cache_ids)
-            keys[module.path] = key
-            cached = cache.get(key)
-            if cached is not None:
-                raw.extend(cached)
-                continue
-        pending.append(module)
-
-    fresh: Dict[str, List[Finding]] = {}
-    if jobs > 1 and len(pending) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            for path, entries, timings in pool.imap_unordered(  # reprolint: dispatch
-                _lint_file_worker,
-                [
-                    (m.path, m.text, local_ids, stats is not None)
-                    for m in pending
-                ],
-            ):
-                fresh[path] = [_finding_from_json(e) for e in entries]
-                if stats is not None:
-                    for rule_id, seconds in timings.items():
-                        stats[rule_id] = stats.get(rule_id, 0.0) + seconds
-    else:
-        for module in pending:
-            fresh[module.path] = check_module_local(
-                module, local_ids, stats
-            )
-    for module in pending:
-        findings = fresh[module.path]
+        if cache is None:
+            raw.extend(check_module_local(module, local_ids, stats))
+            continue
+        key = cache.key(module.path, module.text, cache_ids)
+        findings = cache.get(key)
+        if findings is None:
+            findings = check_module_local(module, local_ids, stats)
+            cache.put(key, findings)
         raw.extend(findings)
-        if cache is not None:
-            cache.put(keys[module.path], findings)
 
-    # Project-wide rules: full project, main process, never cached.
+    # Project-wide rules: full project, never cached.
     for module in project.modules:
         if module.tree is None:
             continue
@@ -517,14 +458,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for per-module rules "
-        "(default: min(cpu count, 8))",
-    )
-    parser.add_argument(
         "--changed",
         nargs="?",
         const="HEAD",
@@ -612,16 +545,11 @@ def run(args: argparse.Namespace) -> int:
         )
         cache = LintCache(cache_dir)
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     stats: Optional[Dict[str, float]] = {} if args.stats else None
     lint_started = time.perf_counter()
     active, suppressed = lint_project(
         project,
         rule_ids,
-        jobs=jobs,
         cache=cache,
         targets=targets,
         stats=stats,

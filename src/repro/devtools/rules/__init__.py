@@ -11,11 +11,10 @@ from repro.devtools.rules import (  # noqa: F401
     flowrules,
     horizonrules,
     mutability,
-    parallelsafety,
     timeaxis,
 )
 
 #: Bump whenever rule semantics change in a way that invalidates cached
 #: per-file results (the on-disk lint cache keys on this + the rule ids
 #: + the file bytes).
-RULESET_VERSION = "2026.10-no-spine"
+RULESET_VERSION = "2026.10-no-w-family"

@@ -203,8 +203,7 @@ class SeveredAtomicWriteRule(Rule):
                     "every path to the function exit; a return or "
                     "raise that skips the rename leaves the target "
                     "stale and the .tmp file leaked — route the write "
-                    "through write_json_atomic/save_checkpoint or "
-                    "rename on every path",
+                    "through write_json_atomic or rename on every path",
                 )
 
     @staticmethod
@@ -264,8 +263,7 @@ class BareTruncatingOpenRule(Rule):
                         f"truncating open(..., {mode!r}) outside the "
                         f"rename-atomic writers; readers can observe "
                         f"the torn intermediate state — use "
-                        f"write_json_atomic/save_checkpoint (or an "
-                        f"append-mode journal)",
+                        f"write_json_atomic (or an append-mode journal)",
                     )
 
 

@@ -259,7 +259,7 @@ class Service:
         return config
 
     def _spawn_worker(self, runtime: _TenantRuntime) -> None:
-        process = multiprocessing.Process(  # reprolint: dispatch
+        process = multiprocessing.Process(
             target=tenant_worker_main,
             args=(self._worker_config(runtime),),
             daemon=True,

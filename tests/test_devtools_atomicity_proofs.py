@@ -121,6 +121,21 @@ def test_writer_module_is_in_a501_a502_scope():
         assert REGISTRY[rule_id].applies_to(module)
 
 
+def test_a501_a502_messages_name_only_the_rename_writer():
+    """``save_checkpoint`` appends its results segment before publishing
+    the frontier through ``write_json_atomic``; only the latter is a
+    rename-atomic writer, so only it may be recommended."""
+    fixture = REPO_ROOT / "tests" / "fixtures" / "reprolint" / "bad_atomic.py"
+    module = SourceModule(str(fixture), fixture.read_text("utf-8"))
+    project = Project([module])
+    for rule_id in ("A501", "A502"):
+        hits = list(REGISTRY[rule_id].check(module, project))
+        assert hits, f"{rule_id} should fire on the fixture"
+        for finding in hits:
+            assert "write_json_atomic" in finding.message
+            assert "save_checkpoint" not in finding.message
+
+
 # ------------------------------------------------------------- A502
 INJECTED_BARE_WRITE = '''
 def _injected_dump_state(path, document):

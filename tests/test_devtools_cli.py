@@ -30,7 +30,6 @@ EXPECTED_RULES = {
     "bad_flow_set.py": {"F001", "F002"},
     "bad_flow_time.py": {"U001", "U002"},
     "bad_contract.py": {"R001", "R002"},
-    "bad_worker_purity.py": {"W001", "W002", "W003", "W004"},
     "bad_horizon_clip.py": {"H201", "H202", "H203"},
     "bad_columnar_barrier.py": {"B301", "B302"},
     "bad_atomic.py": {"A501", "A502", "A503"},
@@ -72,7 +71,6 @@ def test_shipped_tree_is_clean(capsys):
         ("C001", "engine.py"),
         ("D001", "clock.py"),
         ("D005", "figures.py"),
-        ("W003", "lint.py"),
     } <= suppressed
 
 
@@ -151,16 +149,17 @@ def test_stats_reports_per_rule_timings(capsys):
     assert "D001" in out
 
 
-def test_jobs_zero_is_usage_error(capsys):
-    code = main([str(FIXTURES / "bad_wallclock.py"), "--jobs", "0"])
-    assert code == 2
+def test_jobs_is_unknown_flag(capsys):
+    """Per-module rules run in-process; there is no worker pool to size."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(FIXTURES / "bad_wallclock.py"), "--jobs", "2"])
+    assert excinfo.value.code == 2
 
 
-def test_parallel_and_cache_flags_do_not_change_output(capsys, tmp_path):
+def test_cache_flags_do_not_change_output(capsys, tmp_path):
     baseline_report = None
     for argv in (
         ["--no-cache"],
-        ["--no-cache", "--jobs", "2"],
         ["--cache-dir", str(tmp_path / "cache")],
         ["--cache-dir", str(tmp_path / "cache")],  # warm pass
     ):
@@ -330,12 +329,24 @@ def test_list_rules_catalogue(capsys):
         "E001", "E002",
         "T001", "T002", "T003", "S001", "X001",
         "F001", "F002", "U001", "U002", "R001", "R002",
-        "W001", "W002", "W003", "W004",
         "H201", "H202", "H203",
         "B301", "B302",
         "A501", "A502", "A503",
     ):
         assert rule_id in out
+
+
+def test_list_rules_has_no_worker_family(capsys):
+    """Lint runs in one process; the worker-purity family is retired and
+    the service's worker boundary is checked at runtime instead."""
+    assert main(["--list-rules"]) == 0
+    listed = {
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line and not line.startswith(" ")
+    }
+    assert "D001" in listed
+    assert not any(rule_id.startswith("W") for rule_id in listed)
 
 
 def test_baseline_grandfathers_old_but_not_new(tmp_path, capsys, monkeypatch):

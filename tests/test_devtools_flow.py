@@ -455,7 +455,7 @@ class TestContractCorners:
         )
 
 
-# ----------------------------------------------- parallel / cache / changed
+# ------------------------------------------------------ cache / changed
 def write_tree(root):
     pkg = root / "pkg"
     pkg.mkdir()
@@ -467,14 +467,6 @@ def write_tree(root):
 
 
 class TestDriverModes:
-    def test_parallel_matches_sequential(self, tmp_path):
-        write_tree(tmp_path)
-        files = collect_files([str(tmp_path)])
-        sequential = lint_project(load_project(files), jobs=1)
-        parallel = lint_project(load_project(files), jobs=2)
-        assert sequential == parallel
-        assert any(f.rule == "D001" for f in sequential[0])
-
     def test_cache_round_trip_is_identical_and_hits(self, tmp_path):
         write_tree(tmp_path)
         files = collect_files([str(tmp_path)])
@@ -484,6 +476,29 @@ class TestDriverModes:
         second = lint_project(load_project(files), cache=cache)
         assert cache.hits == len(files)
         assert first == second
+
+    def test_findings_do_not_depend_on_file_order(self, tmp_path):
+        pkg = write_tree(tmp_path)
+        (pkg / "later.py").write_text(
+            "import time\nLATER = time.time()\n", encoding="utf-8"
+        )
+        files = collect_files([str(tmp_path)])
+        forward = lint_project(load_project(files))
+        backward = lint_project(load_project(list(reversed(files))))
+        assert forward == backward
+        assert sum(f.rule == "D001" for f in forward[0]) == 2
+
+    def test_warm_cache_stats_skip_per_module_rules(self, tmp_path):
+        write_tree(tmp_path)
+        files = collect_files([str(tmp_path)])
+        cache = LintCache(str(tmp_path / "cache"))
+        cold_stats, warm_stats = {}, {}
+        lint_project(load_project(files), cache=cache, stats=cold_stats)
+        lint_project(load_project(files), cache=cache, stats=warm_stats)
+        assert cache.hits == len(files)
+        assert "D001" in cold_stats
+        # Cache hits never ran the per-module rules: they cost nothing.
+        assert "D001" not in warm_stats
 
     def test_cache_misses_after_edit_and_rule_version_change(
         self, tmp_path, monkeypatch

@@ -1,4 +1,4 @@
-"""AST-injection proofs for the worker-safety tier, on the real code.
+"""AST-injection proofs for the horizon and barrier tiers, on the real code.
 
 Style of ``tests/test_devtools_flow_proofs.py``: each test takes the
 *shipped* source of a real module, injects the bug class its rule
@@ -6,10 +6,6 @@ family exists for into a copy of the AST, and shows the rule fires —
 paired with a shipped-tree check proving the finding is the injection,
 not background noise.
 
-* W001/W004 — worker impurity injected into the ``repro lint --jobs``
-  pool worker in ``devtools/lint.py`` and the tenant worker the service
-  supervisor spawns (``service/worker.py``), found through the real
-  dispatch sites;
 * H201–H203 — the PR 6 bug class: horizon guards dropped from
   ``fleet/generate.py``, unclipped generators appended to
   ``stream/engine.py``;
@@ -25,9 +21,6 @@ from repro.devtools.base import Project, REGISTRY, SourceModule
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-LINT_PATH = SRC / "repro" / "devtools" / "lint.py"
-TENANT_WORKER_PATH = SRC / "repro" / "service" / "worker.py"
-SUPERVISOR_PATH = SRC / "repro" / "service" / "supervisor.py"
 GENERATE_PATH = SRC / "repro" / "fleet" / "generate.py"
 ENGINE_PATH = SRC / "repro" / "stream" / "engine.py"
 INGEST_PATH = SRC / "repro" / "columnar" / "ingest.py"
@@ -57,71 +50,6 @@ def append_source(source: str, injected: str) -> str:
     tree.body.extend(ast.parse(injected).body)
     ast.fix_missing_locations(tree)
     return ast.unparse(tree)
-
-
-# ------------------------------------------------------------- W001
-def test_injected_global_mutation_in_workers_trips_w001():
-    """A module-dict write planted inside ``_lint_file_worker`` is found
-    through the *real* dispatch site: ``lint_project`` hands it to
-    ``multiprocessing.Pool.imap_unordered``."""
-    tree = ast.parse(LINT_PATH.read_text(encoding="utf-8"))
-    tree.body.extend(ast.parse("_FILE_MEMO = {}").body)
-    planted = 0
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.FunctionDef)
-            and node.name == "_lint_file_worker"
-        ):
-            node.body.insert(
-                0, ast.parse("_FILE_MEMO[job[0]] = job[0]").body[0]
-            )
-            planted += 1
-    assert planted == 1
-    ast.fix_missing_locations(tree)
-    modules = src_modules(LINT_PATH, ast.unparse(tree))
-    hits = run_rule("W001", modules, LINT_PATH)
-    assert hits, "W001 should fire on the planted module-state write"
-    assert any("_lint_file_worker" in f.message for f in hits)
-    assert any("_FILE_MEMO" in f.message for f in hits)
-
-
-def test_shipped_workers_are_clean_for_w_rules():
-    """Clean up to the in-line suppressions each file carries (the lint
-    worker's read of the rule registry is a justified W003)."""
-    for path in (LINT_PATH, TENANT_WORKER_PATH):
-        modules = src_modules(path, path.read_text("utf-8"))
-        module = next(m for m in modules if m.path == str(path))
-        for rule_id in ("W001", "W002", "W003", "W004"):
-            hits = run_rule(rule_id, modules, path)
-            assert [
-                f
-                for f in hits
-                if not module.suppressions.is_suppressed(rule_id, f.line)
-            ] == []
-
-
-# ------------------------------------------------------------- W004
-def test_unpicklable_tenant_worker_signature_trips_w004():
-    """The supervisor spawns ``tenant_worker_main`` as a
-    ``multiprocessing.Process`` target; an ``Iterator`` in its signature
-    could never cross the spawn, and W004 says so at the definition."""
-    source = TENANT_WORKER_PATH.read_text(encoding="utf-8")
-    shipped = "def tenant_worker_main(config: Dict[str, Any]) -> None:"
-    assert shipped in source
-    drifted = source.replace(
-        shipped, "def tenant_worker_main(config: Iterator[str]) -> None:"
-    )
-    modules = src_modules(TENANT_WORKER_PATH, drifted)
-    hits = run_rule("W004", modules, TENANT_WORKER_PATH)
-    assert hits, "W004 should fire on the Iterator-annotated worker"
-    assert any("Iterator" in f.message for f in hits)
-    assert any("tenant_worker_main" in f.message for f in hits)
-
-
-def test_shipped_supervisor_is_clean_for_w_rules():
-    modules = src_modules(SUPERVISOR_PATH, SUPERVISOR_PATH.read_text("utf-8"))
-    for rule_id in ("W001", "W002", "W003", "W004"):
-        assert run_rule(rule_id, modules, SUPERVISOR_PATH) == []
 
 
 # ------------------------------------------------------------- H202

@@ -8,11 +8,16 @@ These tests prove that in-process — kill points swept across the
 corpus, checkpoints namespaced per tenant, a kill mid-checkpoint-write
 (frontier or results segment) leaving the previous checkpoint usable —
 plus the ledger typing of every degradation `run_worker` can hit,
-damaged results segments included.
+damaged results segments included.  One test crosses the real process
+boundary: the supervisor's worker arguments, pickled and run in a
+freshly spawned interpreter, must produce the in-process report.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import pickle
 from pathlib import Path
 
 import pytest
@@ -20,6 +25,7 @@ import pytest
 from repro.faults.chaos import stream_signature
 from repro.faults.ledger import CHANNEL_CHECKPOINT, CHANNEL_SERVICE, CHANNEL_SYSLOG
 from repro.service.profile import load_tenant_context
+from repro.service.supervisor import Service, ServiceConfig, TenantConfig
 from repro.service.worker import (
     CHECKPOINT_FILE,
     JOURNAL_FILE,
@@ -31,6 +37,7 @@ from repro.service.worker import (
     read_report,
     replay_lines,
     run_worker,
+    tenant_worker_main,
 )
 from repro.faults.injectors import corrupt_segment
 from repro.stream import checkpoint as checkpoint_codec
@@ -348,6 +355,103 @@ class TestRunWorker:
         report = read_report(state_dir)
         assert report["signature"] == clean
         assert report["dropped"] == 0
+
+    def test_spawned_worker_matches_in_process(
+        self, tmp_path, service_profile_dir, corpus, clean
+    ):
+        """The supervisor's only dispatch, across a real spawn.
+
+        The target and arguments must pickle (no lambdas, handles or
+        generators cross the boundary), and a fresh interpreter that
+        sees none of the parent's module state must drain the journal
+        to exactly the report the in-process worker writes.
+        """
+        service = Service(
+            ServiceConfig(
+                tenants=[
+                    TenantConfig(
+                        "tenant0", service_profile_dir, checkpoint_every=100
+                    )
+                ],
+                state_dir=str(tmp_path / "spawned"),
+                heartbeat_interval=0.01,
+                poll_interval=0.01,
+            )
+        )
+        runtime = service.tenants["tenant0"]
+        dispatch = (tenant_worker_main, (service._worker_config(runtime),))
+        target, args = pickle.loads(pickle.dumps(dispatch))
+        (tmp_path / "spawned").mkdir()
+        spawned_dir = self._state_dir(tmp_path / "spawned", corpus)
+        assert spawned_dir == runtime.state_dir
+
+        process = multiprocessing.get_context("spawn").Process(
+            target=target, args=args
+        )
+        process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("spawned worker did not drain within 120 s")
+        assert process.exitcode == 0
+
+        (tmp_path / "inproc").mkdir()
+        inproc_dir = self._state_dir(tmp_path / "inproc", corpus)
+        assert run_worker(dict(args[0], state_dir=str(inproc_dir))) == 0
+        spawned = read_report(spawned_dir)
+        assert spawned == read_report(inproc_dir)
+        assert spawned["signature"] == clean
+
+    def test_worker_dispatch_pickles_for_every_tenant(
+        self, tmp_path, service_profile_dir
+    ):
+        """Each tenant's spawn arguments cross the boundary as plain data.
+
+        The target pickles by reference (a lambda or closure would not),
+        and the config is JSON-shaped, so no handle, clock or generator
+        rides along; tenants never share a state directory.
+        """
+        service = Service(
+            ServiceConfig(
+                tenants=[
+                    TenantConfig(name, service_profile_dir)
+                    for name in ("tenant0", "tenant1")
+                ],
+                state_dir=str(tmp_path / "state"),
+            )
+        )
+        state_dirs = set()
+        for name, runtime in service.tenants.items():
+            config = service._worker_config(runtime)
+            target, args = pickle.loads(
+                pickle.dumps((tenant_worker_main, (config,)))
+            )
+            assert target is tenant_worker_main
+            assert args == (config,)
+            assert json.loads(json.dumps(config)) == config
+            assert config["tenant"] == name
+            assert Path(config["state_dir"]) == tmp_path / "state" / name
+            state_dirs.add(config["state_dir"])
+        assert len(state_dirs) == 2
+
+    def test_spawned_worker_failure_exit_code(self, tmp_path):
+        """A typed worker failure reaches the supervisor as the spawned
+        process's exit code, with the report written before it exits."""
+        state_dir = tmp_path / "tenant0"
+        state_dir.mkdir()
+        config = self._config(state_dir, str(tmp_path / "no-such-profile"))
+        process = multiprocessing.get_context("spawn").Process(
+            target=tenant_worker_main, args=(config,)
+        )
+        process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("spawned worker did not exit within 120 s")
+        assert process.exitcode == 1
+        assert "profile unusable" in read_report(state_dir)["error"]
 
     def test_unusable_profile_fails_typed(self, tmp_path):
         state_dir = tmp_path / "tenant0"
