@@ -9,8 +9,11 @@ in the codecs is visible without running a full campaign.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.isis.compact import decode_lsp_record
-from repro.isis.lsp import LinkStatePacket, LspId
+from repro.isis.listener import IsisListener
+from repro.isis.lsp import LinkStatePacket, LspDecodeError, LspId
 from repro.isis.tlv import (
     DynamicHostnameTlv,
     ExtendedIpReachabilityTlv,
@@ -56,6 +59,34 @@ def test_lsp_decode_record(benchmark):
     record = benchmark(decode_lsp_record, raw)
     assert record.hostname == "lax-core-01"
     assert len(record.is_neighbors) == len(record.ip_prefixes) == 8
+
+
+def _primed_refresh():
+    """A listener that holds ``_sample_lsp()``, and its next refresh."""
+    lsp = _sample_lsp()
+    listener = IsisListener()
+    listener.observe_bytes(0.0, lsp.pack())
+    # ``pack`` recomputes the checksum over the bumped sequence number.
+    return (listener, lsp.with_sequence(lsp.sequence_number + 1).pack()), {}
+
+
+def test_lsp_refresh_observe(benchmark):
+    def observe(listener, raw):
+        return listener, listener.observe_bytes(1.0, raw)
+
+    listener, changes = benchmark.pedantic(
+        observe, setup=_primed_refresh, rounds=2000
+    )
+    assert changes == [] and listener.changes == []
+    assert listener.rejected_count == 0
+
+
+def test_lsp_refresh_with_flipped_header_bit_raises():
+    (listener, raw), _ = _primed_refresh()
+    damaged = bytearray(raw)
+    damaged[23] ^= 0x01  # the sequence number's low bit
+    with pytest.raises(LspDecodeError, match="checksum failure"):
+        listener.observe_bytes(1.0, bytes(damaged))
 
 
 def test_syslog_render(benchmark):

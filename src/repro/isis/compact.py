@@ -17,13 +17,28 @@ a prefix with host bits, the IP sub-TLV flag, sequence number 0, a
 non-ASCII hostname — goes to full ``unpack`` as the **barrier**, so
 exceptions and messages stay byte-identical.  This is the shape of the
 columnar syslog barrier (``repro.columnar.ingest``).
+
+Refreshes
+---------
+Most LSPs are periodic refreshes whose TLV octets ``raw[27:]`` repeat
+the previous LSP with the same LSP ID byte for byte.  With the TLV
+octets equal, the walk's result is a function of them alone and the key
+is ``raw[12:20]``, so :func:`refresh_lsp` rebuilds such an LSP's record
+from the stored :data:`DecodedLsp` after checking only the header.  The
+checksum is verified exactly without re-reading the TLVs: Fletcher sums
+are linear, so with ``(h0, h1)`` over the 15 header octets
+``raw[12:27]`` and the stored ``(b0, b1)`` over the ``m`` TLV octets,
+the whole block's sums are ``h0 + b0`` and ``m·h0 + h1 + b1``.  A
+refresh that fails either check gets the full decode, and so the
+barrier's exception.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.isis.lsp import LinkStatePacket, iso_checksum_verify
+from repro.isis.lsp import LinkStatePacket
 from repro.isis.pdu import ISIS_DISCRIMINATOR, LSP_HEADER_LENGTH, PduType
 from repro.isis.tlv import (
     TLV_AREA_ADDRESSES,
@@ -74,15 +89,24 @@ def record_from_lsp(lsp: LinkStatePacket) -> LspRecord:
     )
 
 
-def _barrier(raw: bytes) -> LspRecord:
+#: ``(record, tlvs, b0, b1)``: a decoded record, the TLV octets
+#: ``raw[27:]`` the compact walk read it from, and their unreduced
+#: Fletcher sums.  ``tlvs`` is ``None`` when the record did not come from
+#: the walk (the barrier, a built LSP).  A plain tuple, because one is
+#: built per LSP and a ``NamedTuple`` costs several times as much.
+DecodedLsp = Tuple[LspRecord, Optional[bytes], int, int]
+
+
+def _barrier(raw: bytes) -> DecodedLsp:
     # Looked up at call time, so a wrapped ``unpack`` sees every call.
-    return record_from_lsp(LinkStatePacket.unpack(raw))
+    return record_from_lsp(LinkStatePacket.unpack(raw)), None, 0, 0
 
 
-def decode_lsp_record(raw: bytes) -> LspRecord:
-    """Decode wire LSP bytes to a record, verifying the checksum.
+def _header_sequence(raw: bytes) -> int:
+    """The sequence number of a header the compact decoder accepts, else 0.
 
-    Raises exactly what ``LinkStatePacket.unpack(raw)`` raises.
+    Zero is itself a sequence number the decoder refuses, so it doubles
+    as the verdict.
     """
     size = len(raw)
     if (
@@ -94,12 +118,44 @@ def decode_lsp_record(raw: bytes) -> LspRecord:
         or (raw[4] & 0x1F) not in _LSP_TYPES
         or (raw[8] << 8 | raw[9]) != size
     ):
+        return 0
+    return int.from_bytes(raw[20:24], "big")
+
+
+def _checksum_ok(raw: bytes, b0: int, b1: int) -> bool:
+    """``iso_checksum_verify(raw[12:])`` given the TLV octets' sums ``b0, b1``."""
+    header = raw[12:LSP_HEADER_LENGTH]
+    h0 = sum(header)
+    return (h0 + b0) % 255 == 0 and (
+        (len(raw) - LSP_HEADER_LENGTH) * h0 + sum(accumulate(header)) + b1
+    ) % 255 == 0
+
+
+def decode_lsp_record(raw: bytes) -> LspRecord:
+    """Decode wire LSP bytes to a record, verifying the checksum.
+
+    Raises exactly what ``LinkStatePacket.unpack(raw)`` raises.
+    """
+    return decode_lsp(raw)[0]
+
+
+def decode_lsp(raw: bytes) -> DecodedLsp:
+    """:func:`decode_lsp_record`, keeping the TLV octets and their sums.
+
+    The sums are taken once, over ``raw[27:]``, and serve both this
+    checksum and a later :func:`refresh_lsp`.
+    """
+    sequence_number = _header_sequence(raw)
+    if sequence_number == 0:
         return _barrier(raw)
-    sequence_number = int.from_bytes(raw[20:24], "big")
+    tlvs = raw[LSP_HEADER_LENGTH:]
+    b0 = sum(tlvs)
+    b1 = sum(accumulate(tlvs))
     purge = raw[10] == 0 and raw[11] == 0
-    if sequence_number == 0 or not (purge or iso_checksum_verify(raw[12:])):
+    if not (purge or _checksum_ok(raw, b0, b1)):
         return _barrier(raw)
 
+    size = len(raw)
     hostname: Optional[str] = None
     neighbors: List[str] = []
     prefixes: List[Tuple[int, int]] = []
@@ -153,7 +209,7 @@ def decode_lsp_record(raw: bytes) -> LspRecord:
         offset = end
 
     key = raw[12:20]
-    return LspRecord(
+    record = LspRecord(
         key,
         system_id_from_bytes(key[:6]),
         key[6],
@@ -164,3 +220,34 @@ def decode_lsp_record(raw: bytes) -> LspRecord:
         tuple(neighbors),
         tuple(prefixes),
     )
+    return record, tlvs, b0, b1
+
+
+def refresh_lsp(raw: bytes, stored: DecodedLsp) -> Optional[DecodedLsp]:
+    """``decode_lsp(raw)`` for a refresh of ``stored``, or ``None``.
+
+    The caller has matched ``raw[12:20]`` to the stored record's key and
+    ``raw[27:]`` to its stored TLV octets.  ``None`` means the header or the
+    checksum failed; the caller then decodes in full, reaching the barrier.
+    """
+    sequence_number = _header_sequence(raw)
+    if sequence_number == 0:
+        return None
+    record, tlvs, b0, b1 = stored
+    purge = raw[10] == 0 and raw[11] == 0
+    if not (purge or _checksum_ok(raw, b0, b1)):
+        return None
+    # ``record._replace(sequence_number=..., purge=...)``, built directly:
+    # ``_replace`` costs twice as much, and this runs once per refresh.
+    refreshed = LspRecord(
+        record.key,
+        record.origin,
+        record.pseudonode,
+        record.fragment,
+        sequence_number,
+        purge,
+        record.hostname,
+        record.is_neighbors,
+        record.ip_prefixes,
+    )
+    return refreshed, tlvs, b0, b1

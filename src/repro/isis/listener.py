@@ -21,9 +21,16 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple, Union
 
-from repro.isis.compact import LspRecord, decode_lsp_record, record_from_lsp
+from repro.isis.compact import (
+    DecodedLsp,
+    LspRecord,
+    decode_lsp,
+    record_from_lsp,
+    refresh_lsp,
+)
 from repro.isis.database import supersedes
 from repro.isis.lsp import LinkStatePacket
+from repro.isis.pdu import LSP_HEADER_LENGTH
 
 
 class ReachabilityKind(enum.Enum):
@@ -58,6 +65,9 @@ class ReachabilityChange:
 class _OriginState:
     is_neighbors: FrozenSet[str]
     ip_prefixes: FrozenSet[Tuple[int, int]]
+    #: The sets are the union of the origin's stored fragments (false
+    #: after a purge, until the next full recompute).
+    is_union: bool
 
 
 class IsisListener:
@@ -66,12 +76,18 @@ class IsisListener:
     Every LSP, wire bytes or decoded, becomes one :class:`LspRecord` and
     goes through :meth:`_observe`.  The listener stores the newest record
     per LSP ID, indexed by origin: it needs only the acceptance rule and
-    the origin's stored fragments.
+    the origin's stored fragments.  Next to each accepted record it keeps
+    the TLV octets it was decoded from and their Fletcher sums, so a
+    refresh with the same TLV octets is checked from its 15 header octets
+    (:func:`~repro.isis.compact.refresh_lsp`), and an accepted fragment
+    whose reachability is unchanged skips the aggregation and the diff.
     """
 
     def __init__(self) -> None:
         #: origin -> eight-octet LSP ID -> newest accepted record.
         self._fragments: Dict[str, Dict[bytes, LspRecord]] = {}
+        #: eight-octet LSP ID -> newest accepted record with its TLV octets.
+        self._decoded: Dict[bytes, DecodedLsp] = {}
         self._origin_state: Dict[str, _OriginState] = {}
         self.hostnames: Dict[str, str] = {}
         self.changes: List[ReachabilityChange] = []
@@ -80,17 +96,23 @@ class IsisListener:
 
     def observe_bytes(self, time: float, raw: bytes) -> List[ReachabilityChange]:
         """Decode a wire LSP and process it (checksum verified)."""
-        return self._observe(time, decode_lsp_record(raw))
+        stored = self._decoded.get(raw[12:20])
+        if stored is not None and stored[1] == raw[LSP_HEADER_LENGTH:]:
+            refreshed = refresh_lsp(raw, stored)
+            if refreshed is not None:
+                return self._observe(time, refreshed)
+        return self._observe(time, decode_lsp(raw))
 
     def observe(self, time: float, lsp: LinkStatePacket) -> List[ReachabilityChange]:
         """Process one already decoded LSP (see :meth:`observe_bytes`)."""
-        return self._observe(time, record_from_lsp(lsp))
+        return self._observe(time, (record_from_lsp(lsp), None, 0, 0))
 
-    def _observe(self, time: float, record: LspRecord) -> List[ReachabilityChange]:
+    def _observe(self, time: float, decoded: DecodedLsp) -> List[ReachabilityChange]:
         """Process one LSP; returns (and records) the changes it implies."""
-        origin = record.origin
-        fragments = self._fragments.setdefault(origin, {})
-        stored = fragments.get(record.key)
+        record = decoded[0]
+        key = record.key
+        stored_decoded = self._decoded.get(key)
+        stored = None if stored_decoded is None else stored_decoded[0]
         if stored is not None and not supersedes(
             record.sequence_number,
             record.purge,
@@ -99,10 +121,26 @@ class IsisListener:
         ):
             self.rejected_count += 1
             return []
-        fragments[record.key] = record
+        self._decoded[key] = decoded
+        origin = record.origin
+        fragments = self._fragments.setdefault(origin, {})
+        fragments[key] = record
 
         if record.hostname is not None:
             self.hostnames[origin] = record.hostname
+
+        previous = self._origin_state.get(origin)
+        if (
+            stored is not None
+            and previous is not None
+            and previous.is_union
+            and not (record.purge or stored.purge)
+            and record.is_neighbors == stored.is_neighbors
+            and record.ip_prefixes == stored.ip_prefixes
+        ):
+            # The fragment's reachability is unchanged, so is the union of
+            # the origin's fragments, and the diff is empty.
+            return []
 
         if record.purge:
             new_is: FrozenSet[str] = frozenset()
@@ -117,12 +155,11 @@ class IsisListener:
                 *(fragment.ip_prefixes for fragment in fragments.values())
             )
 
-        previous = self._origin_state.get(origin)
+        self._origin_state[origin] = _OriginState(new_is, new_ip, not record.purge)
         emitted: List[ReachabilityChange] = []
         if previous is None:
             # First LSP from this origin: record state, emit nothing —
             # the paper's listener likewise seeds its view silently (§3.2).
-            self._origin_state[origin] = _OriginState(new_is, new_ip)
             return emitted
 
         for neighbor_id in sorted(previous.is_neighbors - new_is):
@@ -142,7 +179,6 @@ class IsisListener:
                 ReachabilityChange(time, origin, ReachabilityKind.IP, "up", prefix)
             )
 
-        self._origin_state[origin] = _OriginState(new_is, new_ip)
         self.changes.extend(emitted)
         return emitted
 

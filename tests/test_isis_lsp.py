@@ -1,9 +1,12 @@
 """Unit and property tests for LSP encoding and the ISO Fletcher checksum."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isis.compact import _checksum_ok
 from repro.isis.lsp import (
     LinkStatePacket,
     LspDecodeError,
@@ -116,6 +119,43 @@ class TestChecksum:
         if flip >= 0:
             block[flip] ^= data.draw(st.integers(1, 255))
         assert iso_checksum_verify(bytes(block)) == (per_octet_sums(block) == (0, 0))
+
+    @given(
+        st.binary(min_size=15, max_size=15),
+        st.one_of(
+            st.binary(max_size=1485),
+            st.integers(0, 1485).map(lambda n: b"\xff" * n),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_split_sums_match_whole_block(self, header, tlvs, sealed, data):
+        """Header sums plus stored TLV sums verify exactly as the whole block.
+
+        ``_checksum_ok`` sees the LSP (12 octets before the checked
+        block, which starts with the 15 header octets) and the TLV
+        octets' unreduced sums, as a refresh does.
+        """
+        block = bytearray(header + tlvs)
+        if sealed:
+            block[12:14] = bytes(2)
+            block[12:14] = per_octet_checksum(bytes(block), 12).to_bytes(2, "big")
+        b0, b1 = sum(tlvs), sum(accumulate(tlvs))
+        whole = iso_checksum_verify(bytes(block))
+        assert whole == (per_octet_sums(block) == (0, 0))
+        assert _checksum_ok(bytes(12) + bytes(block), b0, b1) == whole
+
+        # One changed header octet flips the verdict as the whole block does.
+        position = data.draw(st.integers(0, 14))
+        before = block[position]
+        block[position] ^= data.draw(st.integers(1, 255))
+        flipped = iso_checksum_verify(bytes(block))
+        assert _checksum_ok(bytes(12) + bytes(block), b0, b1) == flipped
+        assert flipped == (per_octet_sums(block) == (0, 0))
+        if sealed:
+            # Mod 255, 0x00 and 0xFF are the same octet: only that swap hides.
+            assert whole and flipped == ((block[position] - before) % 255 == 0)
 
     def test_computed_checksum_verifies(self):
         data = bytearray(b"\x01\x02\x03\x00\x00\x04\x05")
