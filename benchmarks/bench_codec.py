@@ -21,8 +21,14 @@ from repro.isis.tlv import (
     IpPrefix,
     IsNeighbor,
 )
-from repro.syslog.cisco import AdjacencyChangeMessage, parse_cisco_body
-from repro.syslog.message import parse_syslog_line
+from repro.syslog.cisco import (
+    AdjacencyChangeMessage,
+    LineProtoUpDownMessage,
+    LinkUpDownMessage,
+    parse_cisco_body,
+)
+from repro.syslog.collector import CollectedEntry, SyslogCollector
+from repro.syslog.message import SyslogMessage, parse_syslog_line
 from repro.topology.addressing import system_id_for_index
 
 
@@ -116,3 +122,48 @@ def test_syslog_parse(benchmark):
 
     entry = benchmark(parse)
     assert entry.direction == "down"
+
+
+def _sample_log(lines: int = 2000) -> str:
+    """A log of ``lines`` lines over 14 months: 40 routers' link and
+    adjacency messages plus chatter, so (hostname, body) pairs repeat."""
+    rendered = []
+    for index in range(lines):
+        router = f"cust{index % 40:03d}-cpe-01"
+        interface = f"GigabitEthernet0/{index % 3}"
+        direction = "down" if index % 2 else "up"
+        kind = index % 4
+        if kind == 0:
+            body = AdjacencyChangeMessage(
+                router, interface, "lax-core-01", direction, "hold time expired"
+            ).render_body()
+        elif kind == 1:
+            body = LinkUpDownMessage(router, interface, direction).render_body()
+        elif kind == 2:
+            body = LineProtoUpDownMessage(router, interface, direction).render_body()
+        else:
+            body = "%SYS-5-CONFIG_I: Configured from console by vty0"
+        time = index * 18_361.7 + (index % 7) * 0.25
+        rendered.append(SyslogMessage(time, router, body).render())
+    return "".join(line + "\n" for line in rendered)
+
+
+def test_syslog_parse_log(benchmark):
+    text = _sample_log()
+    entries = benchmark(SyslogCollector.parse_log, text)
+    expected = []
+    latest = 0.0
+    for line in text.splitlines():
+        message = parse_syslog_line(line, after=latest)
+        latest = max(latest, message.timestamp)
+        expected.append(
+            CollectedEntry(
+                message.timestamp,
+                message.hostname,
+                message.body,
+                parse_cisco_body(message.hostname, message.body),
+            )
+        )
+    assert len(entries) == 2000
+    assert entries == expected
+    assert len({(entry.hostname, entry.raw_body) for entry in entries}) < 500

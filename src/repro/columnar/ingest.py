@@ -50,8 +50,12 @@ import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.ledger import CHANNEL_SYSLOG, IngestReport
-from repro.syslog.cisco import CiscoLogEntry, parse_cisco_body
-from repro.syslog.collector import CollectedEntry, SyslogCollector
+from repro.syslog.collector import (
+    CiscoMemo,
+    CollectedEntry,
+    SyslogCollector,
+    collected_entry,
+)
 from repro.syslog.message import parse_syslog_line, try_parse_syslog_line
 from repro.util.timefmt import (
     DAYS_IN_MONTH,
@@ -95,24 +99,9 @@ _MONTH_BY_CODE: Dict[int, int] = {
     if len(name) == 3 and name[0].isupper() and name[1:].islower()
 }
 
-#: Bodies that can possibly parse as one of the four Cisco mnemonics; the
-#: parse regexes are anchored on these literals.
-_CISCO_PREFIXES = ("%CLNS-", "%ROUTING-", "%LINK-", "%LINEPROTO-")
-
-#: Memoised ``parse_cisco_body`` results keyed by (hostname, body), with
-#: the canonical key strings stored alongside.  Router chatter repeats
-#: heavily, so the cache turns the per-entry regex cost into a dict hit —
-#: and reusing the stored strings means a 10k-router, multi-million-line
-#: corpus holds one copy of each distinct hostname/body instead of one
-#: per line (hundreds of MB at fleet scale; the transient slices used for
-#: the lookup die immediately, keeping the allocator's hot blocks hot).
-#: On overflow the cache is cleared rather than frozen: adversarial
-#: high-cardinality input re-fills it at one regex parse per distinct
-#: pair per epoch, while memory stays bounded by the cap.
-_CISCO_CACHE: Dict[
-    Tuple[str, str], Tuple[str, str, Optional[CiscoLogEntry]]
-] = {}
-_CISCO_CACHE_CAP = 1 << 18
+#: The columnar parser's Cisco-body memo, shared by every parse in the
+#: process and bounded by :data:`~repro.syslog.collector.CISCO_MEMO_CAP`.
+_CISCO_CACHE: CiscoMemo = {}
 
 #: Lines per vectorised batch; bounds peak temporary-array memory on
 #: multi-million-line corpora without changing results (batching is just
@@ -121,32 +110,6 @@ _CISCO_CACHE_CAP = 1 << 18
 #: every temporary under ~10 MB, measured ~3x faster end-to-end than
 #: 2**20 on a 2M-line corpus.
 _BATCH_LINES = 1 << 17
-
-
-def _parsed_entry(time: float, hostname: str, body: str) -> CollectedEntry:
-    cache = _CISCO_CACHE
-    cached = cache.get((hostname, body))
-    if cached is None:
-        if body.startswith(_CISCO_PREFIXES):
-            entry = parse_cisco_body(hostname, body)
-        else:
-            entry = None
-        if len(cache) >= _CISCO_CACHE_CAP:
-            cache.clear()
-        cached = (hostname, body, entry)
-        cache[hostname, body] = cached
-    hostname, body, entry = cached
-    # CollectedEntry is a frozen dataclass; its generated __init__ routes
-    # every field through object.__setattr__, which costs ~3x this direct
-    # dict fill.  Equality, hashing and pickling only see the final
-    # __dict__, so the constructed instance is indistinguishable.
-    made = CollectedEntry.__new__(CollectedEntry)
-    d = made.__dict__
-    d["generated_time"] = time
-    d["hostname"] = hostname
-    d["raw_body"] = body
-    d["entry"] = entry
-    return made
 
 
 class _Walk:
@@ -182,7 +145,9 @@ class _Walk:
         if timestamp > self.latest:
             self.latest = timestamp
         self.entries.append(
-            _parsed_entry(timestamp, message.hostname, message.body)
+            collected_entry(
+                _CISCO_CACHE, timestamp, message.hostname, message.body
+            )
         )
 
 
@@ -417,11 +382,12 @@ def _parse_ascii_batch(
         )
         walk.latest = latest
         append = walk.entries.append
-        make = _parsed_entry
+        make = collected_entry
+        cache = _CISCO_CACHE
         for t, a, b, e in zip(
             times.tolist(), h0_list[lo:hi], sp_list[lo:hi], end_list[lo:hi]
         ):
-            append(make(t, text[a:b], text[b + 1 : e]))
+            append(make(cache, t, text[a:b], text[b + 1 : e]))
 
     for slow_line in slow_idx.tolist():
         hi = group_start

@@ -64,8 +64,7 @@ from repro.stream.sources import (
     ReorderBuffer,
     StreamEvent,
 )
-from repro.syslog.cisco import parse_cisco_body
-from repro.syslog.collector import CollectedEntry
+from repro.syslog.collector import CiscoMemo, collected_entry
 from repro.syslog.message import try_parse_syslog_line
 
 #: Default event-time disorder bound (seconds).  The simulated transport
@@ -126,6 +125,7 @@ class TenantPipeline:
         self.lines_seen = 0
         self.latest = 0.0
         self._skip = engine.events_consumed
+        self._cisco_memo: CiscoMemo = {}
 
     @property
     def replaying(self) -> bool:
@@ -147,11 +147,8 @@ class TenantPipeline:
             )
             return
         self.latest = max(self.latest, message.timestamp)
-        entry = CollectedEntry(
-            generated_time=message.timestamp,
-            hostname=message.hostname,
-            raw_body=message.body,
-            entry=parse_cisco_body(message.hostname, message.body),
+        entry = collected_entry(
+            self._cisco_memo, message.timestamp, message.hostname, message.body
         )
         kind, link_message = classify_entry(entry, self.context.resolver)
         time = (

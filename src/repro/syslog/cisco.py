@@ -197,40 +197,46 @@ def parse_cisco_body(router: str, body: str) -> Optional[CiscoLogEntry]:
 
     Returns ``None`` for bodies that are not one of the four link-related
     mnemonics — the collector feed, like CENIC's, may contain other chatter
-    that the failure analysis must skip over.
+    that the failure analysis must skip over.  Each mnemonic's regex is
+    anchored on its literal prefix, so only the one regex whose prefix
+    the body starts with is tried, and chatter costs four ``startswith``.
     """
-    match = _CLNS_RE.match(body)
-    if match:
-        return AdjacencyChangeMessage(
-            router=router,
-            interface=match.group("interface"),
-            neighbor_hostname=match.group("neighbor"),
-            direction=match.group("state").lower(),
-            reason=match.group("reason") or "",
-            flavor=CiscoFlavor.IOS,
-        )
-    match = _XR_RE.match(body)
-    if match:
-        return AdjacencyChangeMessage(
-            router=router,
-            interface=match.group("interface"),
-            neighbor_hostname=match.group("neighbor"),
-            direction=match.group("state").lower(),
-            reason=match.group("reason") or "",
-            flavor=CiscoFlavor.IOS_XR,
-        )
-    match = _LINK_RE.match(body)
-    if match:
-        return LinkUpDownMessage(
-            router=router,
-            interface=match.group("interface"),
-            direction=match.group("state"),
-        )
-    match = _LINEPROTO_RE.match(body)
-    if match:
-        return LineProtoUpDownMessage(
-            router=router,
-            interface=match.group("interface"),
-            direction=match.group("state"),
-        )
+    if body.startswith("%CLNS-5-"):
+        match = _CLNS_RE.match(body)
+        if match:
+            return AdjacencyChangeMessage(
+                router=router,
+                interface=match.group("interface"),
+                neighbor_hostname=match.group("neighbor"),
+                direction=match.group("state").lower(),
+                reason=match.group("reason") or "",
+                flavor=CiscoFlavor.IOS,
+            )
+    elif body.startswith("%ROUTING-ISIS-4-"):
+        match = _XR_RE.match(body)
+        if match:
+            return AdjacencyChangeMessage(
+                router=router,
+                interface=match.group("interface"),
+                neighbor_hostname=match.group("neighbor"),
+                direction=match.group("state").lower(),
+                reason=match.group("reason") or "",
+                flavor=CiscoFlavor.IOS_XR,
+            )
+    elif body.startswith("%LINK-3-"):
+        match = _LINK_RE.match(body)
+        if match:
+            return LinkUpDownMessage(
+                router=router,
+                interface=match.group("interface"),
+                direction=match.group("state"),
+            )
+    elif body.startswith("%LINEPROTO-5-"):
+        match = _LINEPROTO_RE.match(body)
+        if match:
+            return LineProtoUpDownMessage(
+                router=router,
+                interface=match.group("interface"),
+                direction=match.group("state"),
+            )
     return None

@@ -66,13 +66,19 @@ DAYS_IN_MONTH: Tuple[int, ...] = tuple(
 )
 
 #: The canonical year-less body ``Mmm dd HH:MM:SS`` with every field in
-#: the range strptime accepts, the day space- or zero-padded.  Only
-#: these bodies take the arithmetic path; strptime is the barrier for
-#: every other shape (24:00:00, :60, day 00, odd spacing, lower case...).
-_CANONICAL_BODY = re.compile(
+#: the range strptime accepts, ASCII digits only, the day space- or
+#: zero-padded; its groups are month name, day, hour, minute and second.
+#: Only these bodies take the arithmetic path; strptime is the barrier
+#: for every other shape (24:00:00, :60, day 00, odd spacing, lower
+#: case...).  The syslog line decoder embeds the same pattern.
+CANONICAL_BODY_PATTERN = (
     r"([A-Z][a-z]{2}) ( [1-9]|0[1-9]|[12][0-9]|3[01]) "
     r"([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])"
 )
+_CANONICAL_BODY = re.compile(CANONICAL_BODY_PATTERN)
+
+#: The year a bare timestamp's candidate years start from.
+YEAR_HINT = STUDY_EPOCH.year
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,10 +92,63 @@ def month_start(year: int, month: int) -> Tuple[int, int]:
     return delta.days * 86400 + delta.seconds, calendar.monthrange(year, month)[1]
 
 
+def _last_candidate_year(year_hint: int, after: Optional[float]) -> int:
+    """``year_hint + 2``, or the year ``after`` has reached plus one if
+    that is later."""
+    if after is None:
+        return year_hint + 2
+    reached = (STUDY_EPOCH + datetime.timedelta(seconds=after)).year
+    return max(year_hint + 2, reached + 1)
+
+
+def resolve_year(
+    month: int,
+    day: int,
+    clock: int,
+    millis: float,
+    year_hint: int,
+    after: Optional[float],
+) -> Optional[float]:
+    """The earliest eligible candidate time of a canonical timestamp.
+
+    ``month``/``day`` name the calendar date, ``clock`` is the time of
+    day in whole seconds and ``millis`` its fraction in seconds.  A
+    candidate is the moment in one year from ``year_hint`` on (clipped to
+    strptime's four-digit 1000-9999); it is eligible when it exists (no
+    Feb 29 in a common year), is not before the epoch and, given
+    ``after``, is no more than :data:`_YEAR_RESOLUTION_SLACK` behind it.
+    Candidates grow with the year, so walking the years upward and
+    returning the first eligible one gives the minimum.  The walk
+    stops at ``year_hint + 2``, or, when it gets that far with
+    ``after`` given, at the year ``after`` has reached plus one.
+
+    Returns ``None`` when no candidate is eligible; the caller then
+    hands the text to the strptime barrier, which raises the exact
+    error.
+    """
+    floor = 0.0 if after is None else after - _YEAR_RESOLUTION_SLACK
+    clock += (day - 1) * 86400
+    year = max(year_hint, 1000)
+    last = min(year_hint + 2, 9999)
+    extended = False
+    while True:
+        while year <= last:
+            base, days = month_start(year, month)
+            if day <= days:
+                seconds = base + clock + millis
+                if seconds >= 0 and seconds >= floor:
+                    return seconds
+            year += 1
+        if extended:
+            return None
+        extended = True
+        last = min(_last_candidate_year(year_hint, after), 9999)
+
+
 def _strptime_candidates(
     body: str, first_year: int, last_year: int, millis: float
 ) -> List[float]:
-    """Candidate times of a non-canonical body, one strptime per year."""
+    """Candidate times of a body, one strptime per year."""
     candidates = []
     for year in range(first_year, last_year + 1):
         try:
@@ -105,7 +164,7 @@ def _strptime_candidates(
 
 
 def parse_timestamp(
-    text: str, year_hint: int = 2010, after: Optional[float] = None
+    text: str, year_hint: int = YEAR_HINT, after: Optional[float] = None
 ) -> float:
     """Parse a Cisco-style timestamp back to simulation time.
 
@@ -124,10 +183,14 @@ def parse_timestamp(
     occurrence), :class:`TimestampRangeError` is raised rather than
     silently rolling back in time.
 
-    A canonical ``Mmm dd HH:MM:SS`` body is parsed once and each
-    candidate year is derived arithmetically from :func:`month_start`;
-    any other body is handed to strptime once per candidate year, which
-    decides what it means.  Both give the same floats and errors.
+    A canonical ``Mmm dd HH:MM:SS`` body is resolved arithmetically by
+    :func:`resolve_year`, the function the syslog line decoder calls
+    directly for canonical lines, so on a clean log this function only
+    sees the lines that decoder could not resolve.  Every other body,
+    and a canonical one with no eligible candidate, goes to the
+    strptime barrier: one strptime per candidate year, which decides
+    what the body means and which error it raises.  Both paths give
+    the same floats.
 
     >>> parse_timestamp('Oct 20 00:00:00.000')
     0.0
@@ -139,31 +202,25 @@ def parse_timestamp(
     body, _, millis_text = text.partition(".")
     millis = int(millis_text) / 1000.0 if millis_text else 0.0
 
-    last_year = year_hint + 2
-    if after is not None:
-        reached = (STUDY_EPOCH + datetime.timedelta(seconds=after)).year
-        last_year = max(last_year, reached + 1)
-
     match = _CANONICAL_BODY.fullmatch(body)
     month = MONTH_BY_NAME.get(match.group(1)) if match else None
-    if match is None or month is None:
-        candidates = _strptime_candidates(body, year_hint, last_year, millis)
-    else:
-        day = int(match.group(2))
-        clock = (
-            (day - 1) * 86400
-            + int(match.group(3)) * 3600
+    if match is not None and month is not None:
+        seconds = resolve_year(
+            month,
+            int(match.group(2)),
+            int(match.group(3)) * 3600
             + int(match.group(4)) * 60
-            + int(match.group(5))
+            + int(match.group(5)),
+            millis,
+            year_hint,
+            after,
         )
-        candidates = []
-        # strptime's %Y reads exactly four digits.
-        for year in range(max(year_hint, 1000), min(last_year, 9999) + 1):
-            base, days = month_start(year, month)
-            if day <= days:
-                seconds = base + clock + millis
-                if seconds >= 0:
-                    candidates.append(seconds)
+        if seconds is not None:
+            return seconds
+
+    candidates = _strptime_candidates(
+        body, year_hint, _last_candidate_year(year_hint, after), millis
+    )
     if not candidates:
         raise ValueError(f"unparseable timestamp {text!r}")
 
