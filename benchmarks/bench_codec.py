@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.isis.compact import decode_lsp_record
-from repro.isis.listener import IsisListener
+from repro.isis.listener import IsisListener, ReachabilityChange, ReachabilityKind
 from repro.isis.lsp import LinkStatePacket, LspDecodeError, LspId
 from repro.isis.tlv import (
     DynamicHostnameTlv,
@@ -85,6 +85,50 @@ def test_lsp_refresh_observe(benchmark):
     )
     assert changes == [] and listener.changes == []
     assert listener.rejected_count == 0
+
+
+def _primed_revisit():
+    """A listener that heard ``_sample_lsp()`` (version A), then version B
+    without its last neighbour and prefix; and A again, one sequence on."""
+    lsp = _sample_lsp()
+    hostname, is_reach, ip_reach = lsp.tlvs
+    version_b = LinkStatePacket(
+        lsp_id=lsp.lsp_id,
+        sequence_number=lsp.sequence_number + 1,
+        tlvs=(
+            hostname,
+            ExtendedIsReachabilityTlv(neighbors=is_reach.neighbors[:-1]),
+            ExtendedIpReachabilityTlv(prefixes=ip_reach.prefixes[:-1]),
+        ),
+    )
+    listener = IsisListener()
+    listener.observe_bytes(0.0, lsp.pack())
+    listener.observe_bytes(1.0, version_b.pack())
+    return (listener, lsp.with_sequence(lsp.sequence_number + 2).pack()), {}
+
+
+def test_lsp_revisit_observe(benchmark):
+    """A re-flood of an older version is verified from its header too."""
+
+    def observe(listener, raw):
+        return listener.observe_bytes(2.0, raw)
+
+    changes = benchmark.pedantic(observe, setup=_primed_revisit, rounds=2000)
+    lsp = _sample_lsp()
+    origin = lsp.lsp_id.system_id
+    last_prefix = lsp.ip_prefixes[-1]
+    assert changes == [
+        ReachabilityChange(
+            2.0, origin, ReachabilityKind.IS, "up", lsp.is_neighbors[-1].system_id
+        ),
+        ReachabilityChange(
+            2.0,
+            origin,
+            ReachabilityKind.IP,
+            "up",
+            (last_prefix.prefix, last_prefix.prefix_length),
+        ),
+    ]
 
 
 def test_lsp_refresh_with_flipped_header_bit_raises():

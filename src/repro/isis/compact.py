@@ -20,17 +20,22 @@ columnar syslog barrier (``repro.columnar.ingest``).
 
 Refreshes
 ---------
-Most LSPs are periodic refreshes whose TLV octets ``raw[27:]`` repeat
-the previous LSP with the same LSP ID byte for byte.  With the TLV
-octets equal, the walk's result is a function of them alone and the key
-is ``raw[12:20]``, so :func:`refresh_lsp` rebuilds such an LSP's record
-from the stored :data:`DecodedLsp` after checking only the header.  The
-checksum is verified exactly without re-reading the TLVs: Fletcher sums
-are linear, so with ``(h0, h1)`` over the 15 header octets
-``raw[12:27]`` and the stored ``(b0, b1)`` over the ``m`` TLV octets,
-the whole block's sums are ``h0 + b0`` and ``m·h0 + h1 + b1``.  A
-refresh that fails either check gets the full decode, and so the
-barrier's exception.
+Most LSPs repeat, byte for byte, the TLV octets ``raw[27:]`` of an
+earlier LSP with the same LSP ID: a periodic refresh repeats the
+previous one, and a link failure's re-floods and its recovery return to
+older ones.  The listener keeps up to
+:data:`~repro.isis.listener.LSP_VERSION_CAP` such versions per LSP ID,
+newest last, evicting the oldest.  The walk's result — hostname,
+neighbours, prefixes and the barrier conditions — is a function of the
+TLV octets and their length alone, and the key is ``raw[12:20]``, so
+:func:`refresh_lsp` rebuilds the record of an LSP that matches a stored
+:data:`DecodedLsp` after checking only the header.  The checksum is
+verified exactly without re-reading the TLVs: Fletcher sums are linear,
+so with ``(h0, h1)`` over the 15 header octets ``raw[12:27]`` and the
+stored ``(b0, b1)`` over the ``m`` TLV octets, the whole block's sums
+are ``h0 + b0`` and ``m·h0 + h1 + b1``.  An LSP that fails either
+check, or whose version is not stored (never seen, or evicted), gets
+the full decode, and so the barrier's exception.
 """
 
 from __future__ import annotations
@@ -227,8 +232,10 @@ def refresh_lsp(raw: bytes, stored: DecodedLsp) -> Optional[DecodedLsp]:
     """``decode_lsp(raw)`` for a refresh of ``stored``, or ``None``.
 
     The caller has matched ``raw[12:20]`` to the stored record's key and
-    ``raw[27:]`` to its stored TLV octets.  ``None`` means the header or the
-    checksum failed; the caller then decodes in full, reaching the barrier.
+    ``raw[27:]`` to its stored TLV octets, which may be any stored
+    version of that LSP ID, not only the newest.  ``None`` means the
+    header or the checksum failed; the caller then decodes in full,
+    reaching the barrier.
     """
     sequence_number = _header_sequence(raw)
     if sequence_number == 0:

@@ -57,6 +57,7 @@ from repro.stream.checkpoint import (
     decode_engine,
     load_checkpoint,
 )
+from repro.syslog.collector import SyslogCollector
 from repro.syslog.message import SyslogMessage
 from repro.util.rand import child_rng
 
@@ -143,6 +144,43 @@ class TestLogInjectors:
         assert len(cut) == 5
         for before, after in cut:
             assert before.startswith(after) and len(after) < len(before)
+
+
+    @pytest.mark.parametrize(
+        "body, garbage",
+        [("test body number", 0), ("lien coupé → hors service n°", 6)],
+    )
+    def test_lenient_syslog_drop_offsets_are_byte_exact(self, body, garbage):
+        lines = [
+            SyslogMessage(10.0 * i, f"rtr-{i:02d}", f"{body} {i}").render()
+            for i in range(20)
+        ]
+        log = ("\n".join(lines) + "\n").encode("utf-8")
+        if garbage:
+            log = inject_garbage_lines(log, rng(), count=garbage)
+        damaged = truncate_log_lines(log, rng("cut"), count=8)
+        text = damaged.decode("utf-8", errors="replace")
+        assert text.isascii() == (not garbage)
+
+        drops = []
+
+        class RecordingReport(IngestReport):
+            def record(self, *args, **kwargs):
+                drops.append(super().record(*args, **kwargs))
+                return drops[-1]
+
+        SyslogCollector.parse_log(text, strict=False, report=RecordingReport())
+        assert drops
+        starts = [0]
+        for line in text.split("\n"):
+            starts.append(starts[-1] + len(line) + 1)
+        for drop in drops:
+            start = starts[drop.index - 1]
+            assert drop.offset == len(text[:start].encode("utf-8", "surrogatepass"))
+        if garbage:
+            # Some drop follows a multi-byte character, so a character
+            # count would be wrong there.
+            assert any(drop.offset != starts[drop.index - 1] for drop in drops)
 
 
 class TestMrtInjectors:

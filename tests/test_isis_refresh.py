@@ -1,14 +1,15 @@
-"""Differential tests: the refresh-aware listener against decode-everything.
+"""Differential tests: the version-aware listener against decode-everything.
 
-:class:`IsisListener` verifies a refresh whose TLV octets repeat the
-stored fragment's from its 15 header octets, and skips the aggregation
-and the diff when an accepted fragment's reachability is unchanged.  The
-oracle below is the listener without either shortcut: every LSP goes
-through :func:`decode_lsp_record` and the full aggregation and diff.
-Hypothesis builds wire archives of multi-fragment origins with refreshes,
-duplicate and stale floods, hostname changes, purges and refreshes
-damaged in the header; both listeners must agree record by record, and
-batch and stream replay must quarantine the same records.
+:class:`IsisListener` verifies an LSP whose TLV octets repeat any stored
+version of its LSP ID from its 15 header octets, and skips the
+aggregation and the diff when an accepted fragment's reachability is
+unchanged.  The oracle below is the listener without either shortcut:
+every LSP goes through :func:`decode_lsp_record` and the full aggregation
+and diff.  Hypothesis builds wire archives of one- and two-fragment
+origins with refreshes, reverts to an earlier advertisement, duplicate
+and stale floods, hostname changes, purges, and refreshes and reverts
+damaged in the header or checksum; both listeners must agree record by
+record, and batch and stream replay must quarantine the same records.
 """
 
 import struct
@@ -16,14 +17,21 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.extract_isis import replay_lsp_records
 from repro.faults.ledger import IngestReport
+from repro.isis import listener as listener_module
 from repro.isis.compact import LspRecord, decode_lsp_record, record_from_lsp
 from repro.isis.database import supersedes
-from repro.isis.listener import IsisListener, ReachabilityChange, ReachabilityKind
+from repro.isis.listener import (
+    LSP_VERSION_CAP,
+    IsisListener,
+    ReachabilityChange,
+    ReachabilityKind,
+)
 from repro.isis.lsp import LinkStatePacket, LspId, iso_checksum
 from repro.isis.tlv import (
     DynamicHostnameTlv,
@@ -128,8 +136,11 @@ class OracleListener:
 
 
 # ---------------------------------------------------------------- archives
-ORIGINS = ("0000.0000.0001", "0000.0000.0002")
-LSP_IDS = tuple(LspId(origin, fragment=fragment) for origin in ORIGINS for fragment in (0, 1))
+ORIGINS = ("0000.0000.0001", "0000.0000.0002", "0000.0000.0009")
+#: The first two origins flood two fragments, the third only one.
+LSP_IDS = tuple(
+    LspId(origin, fragment=fragment) for origin in ORIGINS[:2] for fragment in (0, 1)
+) + (LspId(ORIGINS[2]),)
 NEIGHBORS = tuple(f"0000.0000.00{index:02x}" for index in range(3, 8))
 PREFIXES = tuple((0x89A40000 + 2 * index, 31) for index in range(5))
 HOSTNAMES = ("lax-core-01", "lax-core-02", None)
@@ -182,7 +193,20 @@ def damage(raw, kind, where):
 
 
 DAMAGE = ("lsp-id", "sequence", "checksum", "length", "sequence-0", "pdu-type", "truncate")
-OPS = ("change", "refresh", "refresh", "refresh", "duplicate", "stale", "hostname", "purge", "damage")
+OPS = (
+    "change",
+    "refresh",
+    "refresh",
+    "refresh",
+    "revert",
+    "revert",
+    "duplicate",
+    "stale",
+    "hostname",
+    "purge",
+    "damage",
+    "damaged-revert",
+)
 
 
 def subset(pool, bits):
@@ -192,12 +216,16 @@ def subset(pool, bits):
 def build_archive(steps):
     """Interpret ``(op, lsp index, parameter)`` steps as a wire archive."""
     state = {}
+    #: LSP ID -> every (hostname, neighbors, prefixes) it advertised.
+    history = {}
     records = []
     for time, (op, which, param) in enumerate(steps):
         lsp_id = LSP_IDS[which]
         current = state.get(lsp_id)
         if current is None:
             op = "change"
+        else:
+            earlier = history[lsp_id][param % len(history[lsp_id])]
         if op == "change":
             sequence = current["sequence"] + 1 if current else 1 + param % 3
             current = state[lsp_id] = {
@@ -213,6 +241,12 @@ def build_archive(steps):
         elif op == "hostname":
             current["sequence"] += 1
             current["hostname"] = HOSTNAMES[param % 3]
+            lifetime = 1199
+        elif op == "revert":
+            # Re-advertise an earlier content, as both ends of a failed
+            # link do on recovery.
+            current["sequence"] += 1 + (param >> 6) % 2
+            current["hostname"], current["neighbors"], current["prefixes"] = earlier
             lifetime = 1199
         elif op == "purge":
             current["sequence"] += param % 2
@@ -236,6 +270,23 @@ def build_archive(steps):
                 current["prefixes"],
             )
             raw = damage(refresh, DAMAGE[param % len(DAMAGE)], param // len(DAMAGE))
+        elif op == "damaged-revert":
+            sequence = current["sequence"] + 1
+            revert = wire(lsp_id, sequence, *earlier)
+            kind = (DAMAGE + ("foreign-checksum",))[(param >> 4) % (len(DAMAGE) + 1)]
+            if kind == "foreign-checksum":
+                # The checksum the current content carries at this
+                # sequence number, on a revisited version's TLV octets.
+                foreign = wire(
+                    lsp_id,
+                    sequence,
+                    current["hostname"],
+                    current["neighbors"],
+                    current["prefixes"],
+                )
+                raw = revert[:24] + foreign[24:26] + revert[26:]
+            else:
+                raw = damage(revert, kind, param >> 8)
         else:
             raw = current["last"] = wire(
                 lsp_id,
@@ -244,6 +295,9 @@ def build_archive(steps):
                 current["neighbors"],
                 current["prefixes"],
                 lifetime,
+            )
+            history.setdefault(lsp_id, []).append(
+                (current["hostname"], current["neighbors"], current["prefixes"])
             )
         records.append((float(time), raw))
     return records
@@ -299,17 +353,16 @@ class UnresolvingResolver:
         return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(steps)
-def test_refresh_listener_matches_decode_everything(steps):
-    records = build_archive(steps)
+def assert_matches_decode_everything(records):
+    """Both listeners agree record by record and on their final view;
+    strict replay raises the oracle's first exception, and lenient batch
+    and stream replay quarantine exactly the oracle's failures."""
     listener, oracle = IsisListener(), OracleListener()
     expected = outcomes(oracle.observe_bytes, records)
     assert outcomes(listener.observe_bytes, records) == expected
     assert final_view(listener) == final_view(oracle)
 
     failures = [(i, e) for i, e in enumerate(expected) if isinstance(e, tuple)]
-    # Strict: the first damaged record raises the oracle's exception.
     try:
         _, changes = replay_lsp_records(records)
     except Exception as error:  # noqa: BLE001 - the type is the comparison
@@ -317,7 +370,6 @@ def test_refresh_listener_matches_decode_everything(steps):
     else:
         assert not failures and changes == oracle.changes
 
-    # Lenient: batch and stream quarantine exactly the oracle's failures.
     quarantined = [("lsp-decode", index) for index, _ in failures]
     batch_report = IndexedReport()
     _, changes = replay_lsp_records(records, strict=False, report=batch_report)
@@ -327,6 +379,12 @@ def test_refresh_listener_matches_decode_everything(steps):
     dataset = SimpleNamespace(iter_lsp_records=lambda: iter(records))
     list(isis_events(dataset, UnresolvingResolver(), strict=False, report=stream_report))
     assert stream_report.quarantined == quarantined
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps)
+def test_refresh_listener_matches_decode_everything(steps):
+    assert_matches_decode_everything(build_archive(steps))
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,6 +399,89 @@ def test_observe_of_built_lsps_matches_decode_everything(steps):
             continue
     listener, oracle = IsisListener(), OracleListener()
     assert outcomes(listener.observe, lsps) == outcomes(oracle.observe, lsps)
+    assert final_view(listener) == final_view(oracle)
+
+
+# ---------------------------------------------------------------- versions
+def count_decodes(monkeypatch):
+    """The wire LSPs the listener decodes in full, in order."""
+    decoded = []
+    decode = listener_module.decode_lsp
+
+    def counted(raw):
+        decoded.append(raw)
+        return decode(raw)
+
+    monkeypatch.setattr(listener_module, "decode_lsp", counted)
+    return decoded
+
+
+@pytest.mark.parametrize(
+    "lsp_ids", [LSP_IDS[4:], LSP_IDS[:2]], ids=["one-fragment", "two-fragment"]
+)
+def test_reverts_skip_the_decode_and_damaged_ones_reach_the_barrier(
+    monkeypatch, lsp_ids
+):
+    """Versions A, B, C, then reverts to A and B, three damaged reverts
+    to C (a flipped bit in the length field, the sequence number or the
+    checksum) and a clean one."""
+    records = []
+    decoded = []
+    for fragment, lsp_id in enumerate(lsp_ids):
+        a, b, c = (
+            ("lax-core-01", NEIGHBORS[fragment : fragment + k], PREFIXES[:k])
+            for k in (1, 2, 3)
+        )
+        for sequence, content in enumerate((a, b, c, a, b), start=1):
+            records.append((float(len(records)), wire(lsp_id, sequence, *content)))
+        decoded += [raw for _, raw in records[-5:-2]]
+        revert = wire(lsp_id, 6, *c)
+        for octet in (9, 23, 25):  # the length's, sequence's, checksum's low bits
+            damaged = bytearray(revert)
+            damaged[octet] ^= 0x01
+            records.append((float(len(records)), bytes(damaged)))
+            decoded.append(bytes(damaged))
+        records.append((float(len(records)), revert))
+
+    calls = count_decodes(monkeypatch)
+    outcomes(IsisListener().observe_bytes, records)
+    assert calls == decoded
+    monkeypatch.undo()
+    assert_matches_decode_everything(records)
+
+
+def test_versions_are_capped_and_an_evicted_one_is_decoded_again(monkeypatch):
+    lsp_id = LSP_IDS[4]
+    key = lsp_id.pack()
+    contents = [
+        ("lax-core-01", subset(NEIGHBORS, bits), ())
+        for bits in range(1, LSP_VERSION_CAP + 3)
+    ]
+    # The oldest (evicted), the newest but one (kept), the second
+    # (also evicted).
+    revisits = [contents[0], contents[-2], contents[1]]
+    records = [
+        (float(sequence), wire(lsp_id, sequence, *content))
+        for sequence, content in enumerate(contents + revisits, start=1)
+    ]
+
+    calls = count_decodes(monkeypatch)
+    listener = IsisListener()
+    for time, raw in records:
+        listener.observe_bytes(time, raw)
+        versions = list(listener._versions[key])
+        assert len(versions) <= LSP_VERSION_CAP
+        assert versions[-1] == raw[27:]  # newest last, hit or miss
+    assert len(listener._versions[key]) == LSP_VERSION_CAP
+    assert calls == [raw for _, raw in records[: len(contents)]] + [
+        records[-3][1],
+        records[-1][1],
+    ]
+    monkeypatch.undo()
+
+    oracle = OracleListener()
+    outcomes(oracle.observe_bytes, records)
+    assert listener.changes == oracle.changes
     assert final_view(listener) == final_view(oracle)
 
 
