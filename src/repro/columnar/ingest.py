@@ -55,6 +55,7 @@ from repro.syslog.collector import (
     CollectedEntry,
     SyslogCollector,
     collected_entry,
+    line_octets,
 )
 from repro.syslog.message import parse_syslog_line, try_parse_syslog_line
 from repro.util.timefmt import (
@@ -435,16 +436,17 @@ def _parse_ascii_chunk(
 def _parse_mixed(text: str, walk: _Walk) -> None:
     """Non-ASCII text: vectorise maximal ASCII line runs, scalar the rest.
 
-    Byte offsets are taken from the surrogatepass encoding of each line —
-    the same accounting the scalar loop performs — while character slicing
-    stays correct because runs are re-joined from the split lines.
+    Byte offsets count each line's octets in its source file — the same
+    accounting the scalar loop performs (:func:`line_octets`) — while
+    character slicing stays correct because runs are re-joined from the
+    split lines.
     """
     lines = text.split("\n")
     offsets = []
     running = 0
     for line in lines:
         offsets.append(running)
-        running += len(line.encode("utf-8", errors="surrogatepass")) + 1
+        running += line_octets(line) + 1
 
     i = 0
     while i < len(lines):

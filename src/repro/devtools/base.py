@@ -11,8 +11,8 @@ guard that promise; this module holds the pieces they share:
 :class:`SourceModule`
     A parsed source file plus its suppression comments.
 :class:`Project`
-    Every module of one lint run — cross-file rules (the checkpoint
-    codec check) resolve classes through it.
+    Every module of one lint run — cross-file rules (mutable-singleton
+    classification, the interprocedural R-rules) resolve names through it.
 :class:`Rule` and :func:`register`
     The rule interface and the registry the CLI iterates.
 """

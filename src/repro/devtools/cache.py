@@ -15,8 +15,8 @@ and baseline handling — both of those depend on driver flags and are
 applied by the driver every run).  Writes are atomic
 (temp file + ``os.replace``) so a killed lint run never leaves a
 corrupt entry; unreadable entries are treated as misses.  Project-wide
-rules (codec, mutability, R001) are never cached — their findings
-depend on other files.
+rules (mutability, R001) are never cached — their findings depend on
+other files.
 """
 
 from __future__ import annotations

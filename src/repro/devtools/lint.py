@@ -7,8 +7,8 @@ configuration error — CI treats any non-zero as a failed build.
 
 Per-module rules run file by file and their results are cached on
 disk keyed by *(file bytes, rule set)* (:mod:`repro.devtools.cache`);
-project-wide rules — codec drift, mutable-singleton classification,
-the interprocedural R-rules — always run over the full
+project-wide rules — mutable-singleton classification and the
+interprocedural R-rules — always run over the full
 :class:`Project`.  ``--changed [REF]`` restricts per-module linting to
 files differing from a git ref for fast pre-commit runs, while the
 project-wide rules still see every file so interprocedural findings

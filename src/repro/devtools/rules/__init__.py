@@ -2,7 +2,6 @@
 
 from repro.devtools.rules import (  # noqa: F401
     atomicity,
-    codec,
     columnarrules,
     contract,
     determinism,
@@ -17,4 +16,4 @@ from repro.devtools.rules import (  # noqa: F401
 #: Bump whenever rule semantics change in a way that invalidates cached
 #: per-file results (the on-disk lint cache keys on this + the rule ids
 #: + the file bytes).
-RULESET_VERSION = "2026.10-no-w-family"
+RULESET_VERSION = "2026.10-no-codec-family"

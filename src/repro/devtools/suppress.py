@@ -2,7 +2,7 @@
 
 Two forms, both requiring a justification after ``--``:
 
-``# reprolint: disable=C001 -- rebuilt from the resolver``
+``# reprolint: disable=D004 -- result re-sorted by caller``
     Suppresses the listed rules (comma separated, or ``all``) on the
     physical line the comment sits on.
 

@@ -22,9 +22,10 @@ rule chains and truncate the episode span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Annotated, Callable, Dict, List
 
 from repro.core.events import FailureEvent
+from repro.engine.state import PRODUCTS
 from repro.intervals import Interval
 
 
@@ -59,6 +60,11 @@ class FlapRun:
 
     __slots__ = ("start", "end", "count")
 
+    # Checkpointed state (see repro.engine.state).
+    start: float
+    end: float
+    count: int
+
     def __init__(self, failure: FailureEvent) -> None:
         self.start = failure.start
         self.end = failure.end
@@ -68,12 +74,16 @@ class FlapRun:
 class FlapDetector:
     """Per-link incremental application of §4.1's ten-minute rule."""
 
+    # Checkpointed state (see repro.engine.state).
+    runs: Dict[str, FlapRun]
+    episodes: Annotated[List[FlapEpisode], PRODUCTS]
+
     def __init__(self, gap_threshold: float) -> None:
         if gap_threshold <= 0:
             raise ValueError("gap threshold must be positive")
         self.gap_threshold = gap_threshold
-        self.runs: Dict[str, FlapRun] = {}
-        self.episodes: List[FlapEpisode] = []
+        self.runs = {}
+        self.episodes = []
 
     def feed(self, failure: FailureEvent) -> None:
         """Add one sanitised failure (per-link start order required)."""

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Set, Tuple, Union
+from typing import Annotated, Callable, Deque, Dict, List, Set, Tuple, Union
 
 from repro.core.events import FailureEvent, LinkMessage, Transition
+from repro.engine.state import PRODUCTS
 
 
 @dataclass
@@ -75,16 +76,23 @@ class _LinkMatchState:
 
     __slots__ = ("a_pending", "b_pending", "a_all", "b_all", "b_consumed")
 
+    # Checkpointed state (see repro.engine.state).
+    #: Undecided failures, FIFO in start order.
+    a_pending: Deque[FailureEvent]
+    #: Indices into b_all not yet resolved as matched or only-b.
+    b_pending: Deque[int]
+    #: Kept failures still needed, in start order: the undecided ones
+    #: plus decided ones something undecided could still overlap.
+    a_all: List[FailureEvent]
+    b_all: List[FailureEvent]
+    b_consumed: List[bool]
+
     def __init__(self) -> None:
-        #: Undecided failures, FIFO in start order.
-        self.a_pending: Deque[FailureEvent] = deque()
-        #: Indices into b_all not yet resolved as matched or only-b.
-        self.b_pending: Deque[int] = deque()
-        #: Kept failures still needed, in start order: the undecided ones
-        #: plus decided ones something undecided could still overlap.
-        self.a_all: List[FailureEvent] = []
-        self.b_all: List[FailureEvent] = []
-        self.b_consumed: List[bool] = []
+        self.a_pending = deque()
+        self.b_pending = deque()
+        self.a_all = []
+        self.b_all = []
+        self.b_consumed = []
 
 
 class Matcher:
@@ -94,16 +102,24 @@ class Matcher:
     batch call ``match_failures(syslog_kept, isis_kept)``.
     """
 
+    # Checkpointed state (see repro.engine.state).
+    links: Dict[str, _LinkMatchState]
+    pairs: Annotated[List[Tuple[FailureEvent, FailureEvent]], PRODUCTS]
+    only_a: Annotated[List[FailureEvent], PRODUCTS]
+    only_b: Annotated[List[FailureEvent], PRODUCTS]
+    partial_a: Annotated[List[FailureEvent], PRODUCTS]
+    partial_b: Annotated[List[FailureEvent], PRODUCTS]
+
     def __init__(self, window: float) -> None:
         if window < 0:
             raise ValueError("matching window must be non-negative")
         self.window = window
-        self.links: Dict[str, _LinkMatchState] = {}
-        self.pairs: List[Tuple[FailureEvent, FailureEvent]] = []
-        self.only_a: List[FailureEvent] = []
-        self.only_b: List[FailureEvent] = []
-        self.partial_a: List[FailureEvent] = []
-        self.partial_b: List[FailureEvent] = []
+        self.links = {}
+        self.pairs = []
+        self.only_a = []
+        self.only_b = []
+        self.partial_a = []
+        self.partial_b = []
 
     def _state(self, link: str) -> _LinkMatchState:
         state = self.links.get(link)
@@ -259,17 +275,20 @@ class Matcher:
 class CoverageScorer:
     """Incremental Table 3: reporters matching each IS-IS transition."""
 
+    # Checkpointed state (see repro.engine.state).
+    counts: Dict[str, Dict[int, int]]
+    unmatched: Annotated[List[Transition], PRODUCTS]
+    pending: Deque[Transition]
+    #: (link, direction) -> deque of (time, reporter), in event time.
+    messages: Dict[Tuple[str, str], Deque[Tuple[float, str]]]
+
     def __init__(self, window: float, reference_merge_window: float = 0.0) -> None:
         self.window = window
         self.reference_merge_window = reference_merge_window
-        self.counts: Dict[str, Dict[int, int]] = {
-            "down": {0: 0, 1: 0, 2: 0},
-            "up": {0: 0, 1: 0, 2: 0},
-        }
-        self.unmatched: List[Transition] = []
-        self.pending: Deque[Transition] = deque()
-        #: (link, direction) -> deque of (time, reporter), in event time.
-        self.messages: Dict[Tuple[str, str], Deque[Tuple[float, str]]] = {}
+        self.counts = {"down": {0: 0, 1: 0, 2: 0}, "up": {0: 0, 1: 0, 2: 0}}
+        self.unmatched = []
+        self.pending = deque()
+        self.messages = {}
 
     def feed(self, item: Union[LinkMessage, Transition]) -> None:
         """Add one syslog message or one reference (IS-IS) transition."""

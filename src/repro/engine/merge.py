@@ -21,12 +21,16 @@ from repro.core.events import LinkMessage, Transition
 class RunMerger:
     """Per-link incremental merge of same-direction message runs."""
 
+    # Checkpointed state (see repro.engine.state).
+    _open_runs: Dict[str, List[LinkMessage]]
+    transition_count: int
+
     def __init__(self, merge_window: float, source: str) -> None:
         if merge_window < 0:
             raise ValueError("merge window must be non-negative")
         self.merge_window = merge_window
         self.source = source
-        self._open_runs: Dict[str, List[LinkMessage]] = {}
+        self._open_runs = {}
         self.transition_count = 0
 
     def _close(self, run: List[LinkMessage]) -> Transition:
@@ -71,8 +75,3 @@ class RunMerger:
     @property
     def open_run_count(self) -> int:
         return len(self._open_runs)
-
-    @property
-    def open_runs(self) -> Dict[str, List[LinkMessage]]:
-        """The open runs, exposed for checkpointing."""
-        return self._open_runs

@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Annotated, Deque, Dict, List, Optional
 
 from repro.core.events import FailureEvent
+from repro.engine.state import PRODUCTS
 from repro.intervals import IntervalSet
 from repro.ticketing import TicketSystem
 from repro.util.timefmt import SECONDS_PER_HOUR
@@ -142,6 +143,11 @@ class Sanitizer:
     consumers see per-link failure streams in start order.
     """
 
+    # Checkpointed state (see repro.engine.state).
+    report: Annotated[SanitizationReport, PRODUCTS]
+    #: Per-link FIFO of failures awaiting a decision.
+    held: Dict[str, Deque[FailureEvent]]
+
     def __init__(
         self,
         listener_outages: IntervalSet,
@@ -152,8 +158,7 @@ class Sanitizer:
         self.tickets = tickets
         self.config = config
         self.report = SanitizationReport()
-        #: Per-link FIFO of failures awaiting a decision.
-        self.held: Dict[str, Deque[FailureEvent]] = {}
+        self.held = {}
 
     def _decidable(self, failure: FailureEvent, watermark: float) -> bool:
         if self.tickets is None:

@@ -46,6 +46,26 @@ from repro.intervals.timeline import (
 class TimelineBuilder:
     """Per-link incremental timeline reconstruction and failure closing."""
 
+    # Checkpointed state (see repro.engine.state).
+    cursor: float
+    state: LinkState
+    last_message_time: Optional[float]
+    #: The unfinalised merged segment, or None ((start, end, state));
+    #: invariant: tail.end == cursor.
+    tail: Optional[Tuple[float, float, LinkState]]
+    #: Same-time reorder buffer: transitions at pending_time.
+    pending: List[Transition]
+    pending_time: Optional[float]
+    #: (time, direction) -> Transition, for failure attachment.
+    index: Dict[Tuple[float, str], Transition]
+    anomaly_count: int
+    flushed: bool
+    #: Finalised failures awaiting collection by the engine.
+    emitted: List[FailureEvent]
+    #: Sealed spans / anomalies, recorded only under capture=True.
+    _spans: List[Tuple[float, float, LinkState]]
+    _anomalies: List[StateAnomaly]
+
     def __init__(
         self,
         link: str,
@@ -66,22 +86,16 @@ class TimelineBuilder:
 
         self.cursor = horizon_start
         self.state = initial_state
-        self.last_message_time: Optional[float] = None
-        #: The unfinalised merged segment, or None ((start, end, state));
-        #: invariant: tail.end == cursor.
-        self.tail: Optional[Tuple[float, float, LinkState]] = None
-        #: Same-time reorder buffer: transitions at pending_time.
-        self.pending: List[Transition] = []
-        self.pending_time: Optional[float] = None
-        #: (time, direction) -> Transition, for failure attachment.
-        self.index: Dict[Tuple[float, str], Transition] = {}
+        self.last_message_time = None
+        self.tail = None
+        self.pending = []
+        self.pending_time = None
+        self.index = {}
         self.anomaly_count = 0
         self.flushed = False
-        #: Finalised failures awaiting collection by the engine.
-        self.emitted: List[FailureEvent] = []
-        #: Sealed spans / anomalies, recorded only under capture=True.
-        self._spans: List[Tuple[float, float, LinkState]] = []
-        self._anomalies: List[StateAnomaly] = []
+        self.emitted = []
+        self._spans = []
+        self._anomalies = []
 
     # -------------------------------------------------------------- feed
     def feed(self, transition: Transition) -> None:

@@ -34,10 +34,12 @@ import json
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple, get_type_hints
 
+from repro.core.events import FailureEvent, Transition
+from repro.core.flapping import FlapEpisode
 from repro.core.links import LinkResolver
 from repro.core.pipeline import AnalysisResult, run_analysis
 from repro.core.report import render_table
@@ -78,16 +80,12 @@ class _Killed(RuntimeError):
 
 
 # ------------------------------------------------------ canonical signatures
-def _match_document(match: Any) -> Dict[str, Any]:
+def _by_field(result: Any) -> Dict[str, Any]:
+    """A result dataclass as an object keyed by field name."""
+    hints = get_type_hints(type(result))
     return {
-        "pairs": [
-            [codec.encode_failure(a), codec.encode_failure(b)]
-            for a, b in match.pairs
-        ],
-        "only_a": [codec.encode_failure(f) for f in match.only_a],
-        "only_b": [codec.encode_failure(f) for f in match.only_b],
-        "partial_a": [codec.encode_failure(f) for f in match.partial_a],
-        "partial_b": [codec.encode_failure(f) for f in match.partial_b],
+        item.name: codec.encode(getattr(result, item.name), hints[item.name])
+        for item in fields(result)
     }
 
 
@@ -97,7 +95,7 @@ def _coverage_document(coverage: Any) -> Dict[str, Any]:
             direction: {str(bucket): count for bucket, count in sorted(buckets.items())}
             for direction, buckets in coverage.counts.items()
         },
-        "unmatched": [codec.encode_transition(t) for t in coverage.unmatched],
+        "unmatched": codec.encode(coverage.unmatched, List[Transition]),
     }
 
 
@@ -105,11 +103,11 @@ def analysis_signature(result: AnalysisResult) -> str:
     """Canonical bytes of everything Tables 2–5 are computed from."""
     document = {
         "horizon": [result.horizon_start, result.horizon_end],
-        "syslog_sanitized": codec.encode_report(result.syslog_sanitized),
-        "isis_sanitized": codec.encode_report(result.isis_sanitized),
-        "match": _match_document(result.failure_match),
+        "syslog_sanitized": _by_field(result.syslog_sanitized),
+        "isis_sanitized": _by_field(result.isis_sanitized),
+        "match": _by_field(result.failure_match),
         "coverage": _coverage_document(result.coverage),
-        "flaps": [codec.encode_episode(e) for e in result.flap_episodes],
+        "flaps": codec.encode(result.flap_episodes, List[FlapEpisode]),
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
@@ -118,13 +116,13 @@ def stream_signature(result: StreamResult) -> str:
     """Canonical bytes of a :class:`StreamResult` (resume identity check)."""
     document = {
         "horizon": [result.horizon_start, result.horizon_end],
-        "syslog_raw": [codec.encode_failure(f) for f in result.syslog_failures_raw],
-        "isis_raw": [codec.encode_failure(f) for f in result.isis_failures_raw],
-        "syslog_sanitized": codec.encode_report(result.syslog_sanitized),
-        "isis_sanitized": codec.encode_report(result.isis_sanitized),
-        "match": _match_document(result.failure_match),
+        "syslog_raw": codec.encode(result.syslog_failures_raw, List[FailureEvent]),
+        "isis_raw": codec.encode(result.isis_failures_raw, List[FailureEvent]),
+        "syslog_sanitized": _by_field(result.syslog_sanitized),
+        "isis_sanitized": _by_field(result.isis_sanitized),
+        "match": _by_field(result.failure_match),
         "coverage": _coverage_document(result.coverage),
-        "flaps": [codec.encode_episode(e) for e in result.flap_episodes],
+        "flaps": codec.encode(result.flap_episodes, List[FlapEpisode]),
         "counters": result.counters,
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
@@ -277,8 +275,8 @@ def _scenario_syslog_truncate(chaos: _Chaos) -> ScenarioOutcome:
         f"syslog failure drift {delta} bounded by {drops} dropped lines",
     )
     outcome.check(
-        json.dumps(codec.encode_report(result.isis_sanitized))
-        == json.dumps(codec.encode_report(chaos.baseline.isis_sanitized)),
+        json.dumps(codec.encode(result.isis_sanitized))
+        == json.dumps(codec.encode(chaos.baseline.isis_sanitized)),
         "IS-IS results byte-identical to baseline",
     )
     return outcome
@@ -317,8 +315,8 @@ def _scenario_mrt_damage(
         f"IS-IS failure drift {delta} bounded by {lost} lost records",
     )
     outcome.check(
-        json.dumps(codec.encode_report(result.syslog_sanitized))
-        == json.dumps(codec.encode_report(chaos.baseline.syslog_sanitized)),
+        json.dumps(codec.encode(result.syslog_sanitized))
+        == json.dumps(codec.encode(chaos.baseline.syslog_sanitized)),
         "syslog results byte-identical to baseline",
     )
     return outcome
@@ -352,8 +350,8 @@ def _scenario_mrt_bitflip(chaos: _Chaos) -> ScenarioOutcome:
         "rejections carry record indexes",
     )
     outcome.check(
-        json.dumps(codec.encode_report(result.syslog_sanitized))
-        == json.dumps(codec.encode_report(chaos.baseline.syslog_sanitized)),
+        json.dumps(codec.encode(result.syslog_sanitized))
+        == json.dumps(codec.encode(chaos.baseline.syslog_sanitized)),
         "syslog results byte-identical to baseline",
     )
     return outcome

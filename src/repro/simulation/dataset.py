@@ -26,6 +26,7 @@ from repro.simulation.failures import (
     GroundTruthFailure,
     MediaFlapEvent,
 )
+from repro.syslog.collector import LENIENT_ERRORS, SyslogCollector
 from repro.ticketing import TicketSystem, TroubleTicket
 from repro.topology.configmine import ConfigArchive, MinedInventory, mine_configs
 from repro.topology.model import Network
@@ -84,8 +85,6 @@ class Dataset:
         (see :mod:`repro.stream.sources`).  ``strict=False`` quarantines
         malformed lines into ``report`` instead of raising.
         """
-        from repro.syslog.collector import SyslogCollector
-
         return iter(
             SyslogCollector.parse_log(
                 self.syslog_text, strict=strict, report=report
@@ -107,7 +106,11 @@ class Dataset:
         for hostname, text in self.configs.items():
             (config_dir / f"{hostname}.cfg").write_text(text, encoding="utf-8")
 
-        (root / "syslog.log").write_text(self.syslog_text, encoding="utf-8")
+        # A leniently loaded log keeps its undecodable octets as lone
+        # surrogates; they are written back as the same octets.
+        (root / "syslog.log").write_text(
+            self.syslog_text, encoding="utf-8", errors=LENIENT_ERRORS
+        )
 
         with MrtDumpWriter.open(root / "isis.dump") as writer:
             for time, payload in self.lsp_records:
@@ -174,7 +177,7 @@ class Dataset:
 
         syslog_raw = (root / "syslog.log").read_bytes()
         syslog_text = syslog_raw.decode(
-            "utf-8", errors="strict" if strict else "replace"
+            "utf-8", errors="strict" if strict else LENIENT_ERRORS
         )
 
         with MrtDumpReader.open(

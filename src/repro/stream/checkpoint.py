@@ -5,35 +5,50 @@ A checkpoint of a :class:`~repro.stream.engine.StreamEngine` is two files:
 * the **frontier document** (``path``) holds only live machine state —
   open message runs, per-link timeline machines, held failures awaiting
   their ticket horizon, undecided match candidates, coverage rings and
-  pending transitions, open flap runs, counters — plus the results
-  segment's committed byte length, a running :func:`zlib.crc32` of
-  those bytes and how many entries of each product list they hold.  It
-  is replaced atomically on every save, and its size is bounded by the
-  network's links, not by the campaign's length;
-* the **results segment** (``path + ".results"``) is append-only: each
-  save appends one JSON line holding the products finalised since the
-  previous save — raw failures, sanitisation decisions, match pairs and
-  verdicts, unmatched coverage transitions, flap episodes — each encoded
-  exactly once.  Products that refer to a failure carry its index into
-  the raw failure list, and so does the frontier's live state.
+  pending transitions, open flap runs, counters — plus its segment
+  record: the results segment's file name, its committed byte length, a
+  running :func:`zlib.crc32` of those bytes and how many entries of each
+  product list they hold.  It is replaced atomically on every save, and
+  its size is bounded by the network's links, not by the campaign's
+  length;
+* the **results segment** (``<path>.results`` or ``<path>.results.1``,
+  whichever the frontier names) is append-only: each save appends one
+  JSON line holding the products finalised since the previous save —
+  raw failures, sanitisation decisions, match pairs and verdicts,
+  unmatched coverage transitions, flap episodes — each encoded exactly
+  once.
+
+The codec is derived from types; each type's encoder and decoder is
+built once, on first use.  Events and options are dataclasses, stored as
+the list of their fields.  Each engine machine is stored as the list of
+the state attributes it annotates (see :mod:`repro.engine.state`); its
+constructor rebuilds everything else from the engine's options.  Only
+what JSON lacks is coded specially: an enum is stored as its value, a
+frozenset as a sorted list, a tuple as a list, and a dict keyed by
+anything but strings as a list of ``[*key, value]`` entries.  Floats
+survive exactly (JSON carries them as shortest-round-trip decimal); an
+infinite one, in practice only the watermark of an engine that has seen
+no event, is written as ``-Infinity``, the extension :mod:`json` writes
+and reads back.  Two layout rules complete it.  Inside machine state, a
+failure that the raw failure lists hold is stored as its index there
+(``i`` for syslog, ``~i`` for IS-IS).  A product attribute
+(``Annotated[..., PRODUCTS]``) goes to the segment, past what the
+previous save committed, instead of the frontier.  A restored engine is
+therefore value-identical to the checkpointed one, and the resumed
+stream finishes with byte-identical results; the test suite cuts random
+event streams at random points to enforce this.
 
 Saving appends and fsyncs the segment first (after cutting it to the
 length this engine itself committed, so a stale or torn tail is never
 extended), then renames the new frontier into place.  A crash between
 the two leaves the previous frontier, whose committed length simply
-excludes the new tail.  The one exception is an engine's first save
-over a checkpoint it did not load: it cuts the old segment to zero, so
-a crash before its rename loses the previous checkpoint (which then
-loads as a typed error, never as another run's results).  Loading reads
-the committed prefix, checks its CRC and re-reads every product; any
-damage inside the committed region surfaces as a typed
-:class:`CheckpointError`.
-
-Floats survive exactly (JSON carries them as shortest-round-trip
-decimal), frozensets become sorted lists, and sentinel infinities become
-``null``, so a restored engine is value-identical to the checkpointed
-one and the resumed stream finishes with byte-identical results; the
-test suite cuts streams at arbitrary points to enforce this.
+excludes the new tail.  An engine's first save at a path writes the
+segment name the frontier already there does not name, and removes the
+superseded segment only after its own frontier is in place, so a crash
+at any point of any save leaves the previous checkpoint loadable.
+Loading reads the committed prefix of the segment the frontier names,
+checks its CRC and re-reads every product; any damage inside the
+committed region surfaces as a typed :class:`CheckpointError`.
 
 The frontier also records how many events the engine had consumed.
 Event delivery is deterministic (the merge's tie-breaks are fixed), so
@@ -42,223 +57,373 @@ resuming is simply: rebuild the engine, skip that many events, continue.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import enum
+import functools
 import json
-import math
 import os
 import zlib
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextvars import ContextVar
+from operator import attrgetter
+from typing import (
+    Annotated,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-from repro.core.events import FailureEvent, LinkMessage, Transition
-from repro.core.flapping import FlapEpisode
+from repro.core.events import FailureEvent
 from repro.core.links import LinkResolver
-from repro.core.matching import MatchConfig
-from repro.core.pipeline import AnalysisOptions
-from repro.core.sanitize import SanitizationConfig, SanitizationReport
-from repro.core.extract_isis import IsisExtractionConfig
-from repro.core.extract_syslog import SyslogExtractionConfig
+from repro.engine.state import PRODUCTS
+from repro.engine.timeline import TimelineBuilder
 from repro.intervals import IntervalSet
-from repro.intervals.timeline import AmbiguityStrategy, LinkState
+from repro.stream.sources import ISIS_CHANNEL, SYSLOG_CHANNEL
 from repro.ticketing import TicketSystem
 from repro.util.atomic import write_json_atomic
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(Exception):
     """A checkpoint document is unreadable or incompatible."""
 
 
-# ------------------------------------------------------------- event codecs
-def encode_message(message: LinkMessage) -> List[Any]:
-    return [
-        message.time,
-        message.link,
-        message.direction,
-        message.reporter,
-        message.source,
-        message.category,
-        message.reason,
-    ]
+# ------------------------------------------------------------------- codec
+Encoder = Callable[[Any], Any]
+Decoder = Callable[[Any], Any]
+#: A ``None`` encoder (decoder) marks values that are their own JSON
+#: (raw data that is already the value): nothing is called for them.
+Codec = Tuple[Optional[Encoder], Optional[Decoder]]
+
+# Failure references are bound per encode/decode in context variables,
+# not passed down, so encoders stay single-argument and builtins such as
+# ``list`` and ``sorted`` serve as encoders.
+#: While machine state is encoded: ``id(failure)`` -> its reference.
+_REFS: ContextVar[Optional[Dict[int, int]]] = ContextVar("refs", default=None)
+#: While machine state is decoded: a failure reference -> the failure.
+_DEREF: ContextVar[Optional[Callable[[int], FailureEvent]]] = ContextVar(
+    "deref", default=None
+)
+
+#: Types JSON carries as they are.  Python's json module writes ±inf as
+#: ``Infinity``/``-Infinity`` and reads them back, so floats need nothing.
+_JSON_NATIVE = (str, int, float, bool, type(None))
 
 
-def decode_message(raw: List[Any]) -> LinkMessage:
-    time, link, direction, reporter, source, category, reason = raw
-    return LinkMessage(
-        time=time,
-        link=link,
-        direction=direction,
-        reporter=reporter,
-        source=source,
-        category=category,
-        reason=reason,
-    )
+def encode(value: Any, tp: Any = None) -> Any:
+    """``value`` as JSON data, by ``tp`` (default: its own class)."""
+    encoder = _codec(type(value) if tp is None else tp)[0]
+    return value if encoder is None else encoder(value)
 
 
-def encode_transition(transition: Transition) -> List[Any]:
-    return [
-        transition.time,
-        transition.link,
-        transition.direction,
-        transition.source,
-        sorted(transition.reporters),
-        [encode_message(message) for message in transition.messages],
-    ]
+def decode(tp: Any, raw: Any) -> Any:
+    """The value of type ``tp`` that :func:`encode` stored as ``raw``."""
+    decoder = _codec(tp)[1]
+    return raw if decoder is None else decoder(raw)
 
 
-def decode_transition(raw: List[Any]) -> Transition:
-    time, link, direction, source, reporters, messages = raw
-    return Transition(
-        time=time,
-        link=link,
-        direction=direction,
-        source=source,
-        reporters=frozenset(reporters),
-        messages=tuple(decode_message(message) for message in messages),
-    )
+@functools.lru_cache(maxsize=None)
+def _codec(tp: Any) -> Codec:
+    """The encoder and decoder of one type, built on its first use."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return _codec(args[0])
+    if tp in _JSON_NATIVE:
+        return None, None
+    if origin in (list, deque) or (origin is tuple and args[-1] is Ellipsis):
+        return _sequence(origin, _codec(args[0]))
+    if origin is tuple:
+        return _fields(None, args, tuple)
+    if origin is frozenset and _codec(args[0]) == (None, None):
+        # Sorted, so equal sets encode equally.
+        return sorted, frozenset
+    if origin is dict:
+        return _mapping(args[0], _codec(args[1]))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return attrgetter("value"), tp
+    if tp is FailureEvent:
+        return _failure(_record(tp))
+    if dataclasses.is_dataclass(tp):
+        return _record(tp)
+    if isinstance(tp, type) and _machine_state(tp)[0]:
+        return _machine(tp)
+    raise TypeError(f"the checkpoint codec has no rule for {tp!r}")
 
 
-def encode_failure(failure: FailureEvent) -> List[Any]:
-    return [
-        failure.link,
-        failure.start,
-        failure.end,
-        failure.source,
-        None
-        if failure.start_transition is None
-        else encode_transition(failure.start_transition),
-        None
-        if failure.end_transition is None
-        else encode_transition(failure.end_transition),
-    ]
+def _sequence(build: Callable[[Any], Any], codec: Codec) -> Codec:
+    item_encoder, item_decoder = codec
+    encoder: Encoder = list
+    decoder: Decoder = build
+    if item_encoder is not None:
+        encoder = lambda value: list(map(item_encoder, value))  # noqa: E731
+    if item_decoder is not None:
+        decoder = lambda raw: build(map(item_decoder, raw))  # noqa: E731
+    return encoder, decoder
 
 
-def decode_failure(raw: List[Any]) -> FailureEvent:
-    link, start, end, source, start_transition, end_transition = raw
-    return FailureEvent(
-        link=link,
-        start=start,
-        end=end,
-        source=source,
-        start_transition=None
-        if start_transition is None
-        else decode_transition(start_transition),
-        end_transition=None
-        if end_transition is None
-        else decode_transition(end_transition),
-    )
-
-
-def encode_episode(episode: FlapEpisode) -> List[Any]:
-    return [episode.link, episode.start, episode.end, episode.failure_count]
-
-
-def decode_episode(raw: List[Any]) -> FlapEpisode:
-    link, start, end, failure_count = raw
-    return FlapEpisode(link=link, start=start, end=end, failure_count=failure_count)
-
-
-def encode_report(report: SanitizationReport) -> Dict[str, Any]:
-    return {
-        "kept": [encode_failure(f) for f in report.kept],
-        "removed_listener_overlap": [
-            encode_failure(f) for f in report.removed_listener_overlap
+def _mapping(key_type: Any, value_codec: Codec) -> Codec:
+    if key_type is str and value_codec == (None, None):
+        return dict, dict
+    encode_value = value_codec[0] or _same
+    decode_value = value_codec[1] or _same
+    if key_type is str:
+        return (
+            lambda value: {key: encode_value(item) for key, item in value.items()},
+            lambda raw: {key: decode_value(item) for key, item in raw.items()},
+        )
+    # JSON keys are strings, so any other key goes into an entry ahead of
+    # its value; a tuple key is spread over its components.
+    encode_key = _codec(key_type)[0] or _same
+    decode_key = _codec(key_type)[1] or _same
+    if get_origin(key_type) is tuple:
+        return (
+            lambda value: [
+                [*encode_key(key), encode_value(item)] for key, item in value.items()
+            ],
+            lambda raw: {
+                decode_key(entry[:-1]): decode_value(entry[-1]) for entry in raw
+            },
+        )
+    return (
+        lambda value: [
+            [encode_key(key), encode_value(item)] for key, item in value.items()
         ],
-        "removed_unverified_long": [
-            encode_failure(f) for f in report.removed_unverified_long
-        ],
-        "verified_long": [encode_failure(f) for f in report.verified_long],
-    }
-
-
-def decode_report(raw: Dict[str, Any]) -> SanitizationReport:
-    report = SanitizationReport()
-    report.kept = [decode_failure(f) for f in raw["kept"]]
-    report.removed_listener_overlap = [
-        decode_failure(f) for f in raw["removed_listener_overlap"]
-    ]
-    report.removed_unverified_long = [
-        decode_failure(f) for f in raw["removed_unverified_long"]
-    ]
-    report.verified_long = [decode_failure(f) for f in raw["verified_long"]]
-    return report
-
-
-def _encode_maybe_inf(value: float) -> Optional[float]:
-    # JSON has no infinities; the engine's pre-first-event watermark is
-    # the only non-finite value in its state.
-    return None if math.isinf(value) else value
-
-
-def _decode_watermark(raw: Optional[float]) -> float:
-    return -math.inf if raw is None else raw
-
-
-# ----------------------------------------------------------- options codec
-def encode_options(options: "StreamOptions") -> Dict[str, Any]:  # noqa: F821
-    analysis = options.analysis
-    return {
-        "drain_interval": options.drain_interval,
-        "syslog": {
-            "merge_window": analysis.syslog.merge_window,
-            "strategy": analysis.syslog.strategy.value,
-        },
-        "isis": {
-            "merge_window": analysis.isis.merge_window,
-            "strategy": analysis.isis.strategy.value,
-        },
-        "matching": {"window": analysis.matching.window},
-        "sanitization": {
-            "long_failure_threshold": analysis.sanitization.long_failure_threshold,
-            "ticket_slack": analysis.sanitization.ticket_slack,
-        },
-        "flap_gap_threshold": analysis.flap_gap_threshold,
-    }
-
-
-def decode_options(raw: Dict[str, Any]) -> "StreamOptions":  # noqa: F821
-    from repro.stream.engine import StreamOptions
-
-    return StreamOptions(
-        analysis=AnalysisOptions(
-            syslog=SyslogExtractionConfig(
-                merge_window=raw["syslog"]["merge_window"],
-                strategy=AmbiguityStrategy(raw["syslog"]["strategy"]),
-            ),
-            isis=IsisExtractionConfig(
-                merge_window=raw["isis"]["merge_window"],
-                strategy=AmbiguityStrategy(raw["isis"]["strategy"]),
-            ),
-            matching=MatchConfig(window=raw["matching"]["window"]),
-            sanitization=SanitizationConfig(
-                long_failure_threshold=raw["sanitization"][
-                    "long_failure_threshold"
-                ],
-                ticket_slack=raw["sanitization"]["ticket_slack"],
-            ),
-            flap_gap_threshold=raw["flap_gap_threshold"],
-        ),
-        drain_interval=raw["drain_interval"],
+        lambda raw: {decode_key(key): decode_value(item) for key, item in raw},
     )
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _fields(
+    names: Optional[Sequence[str]],
+    hints: Sequence[Any],
+    build: Callable[[List[Any]], Any],
+) -> Codec:
+    """A value stored as the list of its fields, typed ``hints``: the
+    attributes ``names``, or a tuple's items for ``None``; ``build`` makes
+    the value from the decoded list.  A field that is ``None`` is its own
+    JSON, so an ``Optional[X]`` field is coded as ``X``."""
+    required = [_required(hint) for hint in hints]
+    codecs = [_codec(hint) for hint in required]
+    decoders = [(i, codec[1]) for i, codec in enumerate(codecs) if codec[1]]
+    width = len(codecs)
+
+    def decode_fields(raw: Any) -> Any:
+        if len(raw) != width:
+            raise ValueError(f"expected {width} fields, found {len(raw)}")
+        if decoders:
+            raw = list(raw)
+            for i, decoder in decoders:
+                if raw[i] is not None:
+                    raw[i] = decoder(raw[i])
+        return build(raw)
+
+    encoders = [codec[0] for codec in codecs]
+    if names is None and not any(encoders):
+        return None, decode_fields  # JSON writes the tuple as a list
+    optional = [hint is not bare for hint, bare in zip(hints, required)]
+    return _compile_encoder(names, encoders, optional), decode_fields
+
+
+def _compile_encoder(
+    names: Optional[Sequence[str]],
+    encoders: Sequence[Optional[Encoder]],
+    optional: Sequence[bool],
+) -> Encoder:
+    """``lambda value: [value.a, _1(value.b), ...]``, compiled once per type.
+
+    Generated like a dataclass's ``__init__``: direct attribute loads and
+    calls, so a save costs what hand-written encoders cost.
+    """
+    namespace: Dict[str, Any] = {}
+    items = []
+    for i, encoder in enumerate(encoders):
+        field = f"value[{i}]" if names is None else f"value.{names[i]}"
+        if encoder is None:
+            items.append(field)
+            continue
+        namespace[f"_{i}"] = encoder
+        call = f"_{i}({field})"
+        items.append(f"(None if {field} is None else {call})" if optional[i] else call)
+    exec(f"def encode(value):\n    return [{', '.join(items)}]\n", namespace)
+    return namespace["encode"]
+
+
+def _required(hint: Any) -> Any:
+    """``X`` for ``Optional[X]``; any other hint as it is."""
+    if get_origin(hint) is Union:
+        (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        return inner
+    return hint
+
+
+def _record(cls: Any) -> Codec:
+    hints = get_type_hints(cls)
+    names = [field.name for field in dataclasses.fields(cls)]
+    return _fields(
+        names,
+        [hints[name] for name in names],
+        lambda values: cls(*values),
+    )
+
+
+def _failure(whole: Codec) -> Codec:
+    """Inside machine state, a failure the raw lists hold is stored as its
+    reference; any other failure is stored whole."""
+    encode_whole, decode_whole = whole
+    assert encode_whole is not None and decode_whole is not None
+
+    def encode_failure(failure: FailureEvent) -> Any:
+        refs = _REFS.get()
+        ref = None if refs is None else refs.get(id(failure))
+        return encode_whole(failure) if ref is None else ref
+
+    def decode_failure(raw: Any) -> FailureEvent:
+        if not isinstance(raw, int):
+            return decode_whole(raw)
+        deref = _DEREF.get()
+        if deref is None:
+            raise ValueError("a failure reference outside machine state")
+        return deref(raw)
+
+    return encode_failure, decode_failure
+
+
+# --------------------------------------------------------- machine state
+#: One product list of a machine: (name, getter, codec of the list).
+_Product = Tuple[str, Callable[[Any], List[Any]], Codec]
+
+
+@functools.lru_cache(maxsize=None)
+def _machine_state(cls: type) -> Tuple[List[str], Codec, List[_Product]]:
+    """A machine's annotated state: the names of its live attributes, the
+    codec of their values as a list, and its product lists (a product
+    dataclass contributes one per field)."""
+    names: List[str] = []
+    hints: List[Any] = []
+    products: List[_Product] = []
+    annotations = get_type_hints(cls, include_extras=True)
+    for name, hint in annotations.items():  # reprolint: disable=D005 -- declaration order is the frontier layout
+        if PRODUCTS not in getattr(hint, "__metadata__", ()):
+            names.append(name)
+            hints.append(hint)
+            continue
+        inner = get_args(hint)[0]
+        if dataclasses.is_dataclass(inner):
+            fields = get_type_hints(inner)
+            for field in dataclasses.fields(inner):
+                path = f"{name}.{field.name}"
+                products.append((path, attrgetter(path), _codec(fields[field.name])))
+        else:
+            products.append((name, attrgetter(name), _codec(inner)))
+    return names, _fields(names, hints, list), products
+
+
+def _machine(cls: type) -> Codec:
+    """A machine nested in another's state, rebuilt without its constructor."""
+    names, (encoder, decoder), products = _machine_state(cls)
+    if products:
+        raise TypeError(f"{cls.__name__} holds products; only the engine encodes it")
+    assert decoder is not None
+    return encoder, lambda raw: _fill(cls.__new__(cls), names, decoder(raw))
+
+
+def _fill(machine: Any, names: Sequence[str], values: Sequence[Any]) -> Any:
+    for name, value in zip(names, values):
+        setattr(machine, name, value)
+    return machine
+
+
+def _encode_machine(
+    machine: Any, name: str, delta: "_Delta"
+) -> Tuple[Any, Dict[str, Any]]:
+    """A machine's live state, and its product entries past the mark."""
+    _, (encoder, _), products = _machine_state(type(machine))
+    assert encoder is not None
+    chunk = {}
+    for path, get, (encode_list, _) in products:
+        new = delta.new(f"{name}.{path}", get(machine))
+        chunk[path] = list(new) if encode_list is None else encode_list(new)
+    return encoder(machine), chunk
+
+
+def _restore_machine(machine: Any, live: Any, chunks: List[Dict[str, Any]]) -> None:
+    """Set a constructed machine's live state and re-append its products."""
+    names, (_, decoder), products = _machine_state(type(machine))
+    assert decoder is not None
+    _fill(machine, names, decoder(live))
+    for path, get, (_, decode_list) in products:
+        items = get(machine)
+        for chunk in chunks:
+            raw = chunk[path]
+            items.extend(raw if decode_list is None else decode_list(raw))
 
 
 # ------------------------------------------------------- segment bookkeeping
+#: The two segment names a frontier at ``path`` alternates between.
+_SEGMENT_SUFFIXES = (".results", ".results.1")
+
+
+def _segment_names(path: str) -> Tuple[str, ...]:
+    frontier = os.path.abspath(path)
+    return tuple(frontier + suffix for suffix in _SEGMENT_SUFFIXES)
+
+
+def _named_segment(path: str) -> Optional[str]:
+    """The segment the frontier at ``path`` names, if one is readable."""
+    try:
+        with open(path, "rb") as handle:
+            return _segment_of(path, json.loads(handle.read()))
+    except (OSError, ValueError):
+        return None
+
+
+def _segment_of(path: str, document: Any) -> Optional[str]:
+    """The segment a frontier document names: a file beside ``path``."""
+    segment = document.get("segment") if isinstance(document, dict) else None
+    name = segment.get("file") if isinstance(segment, dict) else None
+    if not isinstance(name, str) or name in ("", ".", ".."):
+        return None
+    if os.path.basename(name) != name:
+        return None
+    return os.path.join(os.path.dirname(os.path.abspath(path)), name)
+
+
 def segment_path(path: str) -> str:
-    """The results segment that belongs to the frontier document ``path``."""
-    return f"{path}.results"
+    """The results segment of the checkpoint at ``path``.
+
+    That is the file its frontier names or, with no readable frontier
+    there, the one a fresh engine's first save would write.
+    """
+    return _named_segment(path) or _segment_names(path)[0]
 
 
 class SegmentMark:
     """What one engine has committed to one results segment.
 
     ``written`` maps each product list (``"matcher.pairs"``, ...) to how
-    many of its entries the segment holds; ``refs`` maps each
-    channel's raw failures (by identity) to their index in
-    ``engine.raw_failures[channel]``, extended as the lists grow.
+    many of its entries the segment holds.  ``refs`` maps each raw
+    failure (by identity) to its reference — its index in
+    ``engine.raw_failures[channel]``, bit-inverted for IS-IS — and
+    ``indexed`` counts the failures of each channel it covers; both are
+    extended as the raw lists grow.
     """
 
-    __slots__ = ("path", "length", "crc", "written", "refs")
+    __slots__ = ("path", "length", "crc", "written", "refs", "indexed")
 
     def __init__(
         self,
@@ -266,13 +431,13 @@ class SegmentMark:
         length: int = 0,
         crc: int = 0,
         written: Optional[Dict[str, int]] = None,
-        refs: Optional[Dict[str, Dict[int, int]]] = None,
     ) -> None:
         self.path = os.path.abspath(path)
         self.length = length
         self.crc = crc
         self.written: Dict[str, int] = written if written is not None else {}
-        self.refs: Dict[str, Dict[int, int]] = refs if refs is not None else {}
+        self.refs: Dict[int, int] = {}
+        self.indexed: Dict[str, int] = {}
 
 
 class _Delta:
@@ -286,94 +451,110 @@ class _Delta:
         self.counts: Dict[str, int] = {}
         self.refs = mark.refs
         for channel, failures in engine.raw_failures.items():
-            refs = self.refs.setdefault(channel, {})
-            for index in range(len(refs), len(failures)):
-                refs[id(failures[index])] = index
+            isis = channel == ISIS_CHANNEL
+            for index in range(mark.indexed.get(channel, 0), len(failures)):
+                self.refs[id(failures[index])] = ~index if isis else index
+            mark.indexed[channel] = len(failures)
 
     def new(self, name: str, items: Sequence[Any]) -> Sequence[Any]:
         """The entries of product list ``name`` the segment lacks."""
         self.counts[name] = len(items)
         return items[self.written.get(name, 0) :]
 
-    def ref(self, channel: str, failure: FailureEvent) -> int:
-        """The raw-failure index that stands for ``failure``."""
-        return self.refs[channel][id(failure)]
 
+def _dereferencer(raw: Dict[str, List[FailureEvent]]) -> Callable[[int], FailureEvent]:
+    def deref(ref: int) -> FailureEvent:
+        channel, index = (SYSLOG_CHANNEL, ref) if ref >= 0 else (ISIS_CHANNEL, ~ref)
+        failures = raw[channel]
+        if index >= len(failures):
+            raise CheckpointError(
+                f"failure reference {ref} is outside the {len(failures)} "
+                f"raw {channel} failures the results segment holds"
+            )
+        return failures[index]
 
-def _deref(failures: List[FailureEvent], index: int) -> FailureEvent:
-    if not 0 <= index < len(failures):
-        raise CheckpointError(
-            f"failure reference {index} is outside the {len(failures)} "
-            f"raw failures the results segment holds"
-        )
-    return failures[index]
+    return deref
 
 
 # ------------------------------------------------------------ engine codec
+#: The raw failure lists, stored whole.
+_FAILURES = List[FailureEvent]
+
+
+def _machines(engine: "StreamEngine") -> List[Tuple[str, Optional[str], Any]]:  # noqa: F821
+    """The engine's fixed machines: (document key, key within it, machine)."""
+    return [
+        *(("mergers", key, merger) for key, merger in engine.mergers.items()),
+        *(("sanitizers", channel, s) for channel, s in engine.sanitizers.items()),
+        ("matcher", None, engine.matcher),
+        ("coverage", None, engine.coverage),
+        ("flaps", None, engine.flaps),
+    ]
+
+
 def encode_engine(
-    engine: "StreamEngine", delta: _Delta  # noqa: F821
+    engine: "StreamEngine", delta: Optional[_Delta] = None  # noqa: F821
 ) -> Dict[str, Any]:
     """The engine's live frontier plus one results chunk.
 
     ``"results"`` is a one-element list holding the products finalised
-    since ``delta``'s mark; :func:`load_checkpoint` returns the same
-    shape with every chunk the segment holds.
+    since ``delta``'s mark (all of them without one);
+    :func:`load_checkpoint` returns the same shape with every chunk the
+    segment holds.
     """
-    from repro.stream.engine import MERGER_KEYS
-    from repro.stream.sources import ISIS_CHANNEL, SYSLOG_CHANNEL
-
     if engine.finished:
         raise CheckpointError("a finished engine cannot be checkpointed")
-    channels = (SYSLOG_CHANNEL, ISIS_CHANNEL)
-    sanitizers = {
-        channel: _encode_sanitizer(engine.sanitizers[channel], delta, channel)
-        for channel in channels
+    if delta is None:
+        delta = _Delta(engine, SegmentMark(""))
+    chunk: Dict[str, Any] = {
+        "raw_failures": {
+            channel: encode(delta.new(f"raw_failures.{channel}", failures), _FAILURES)
+            for channel, failures in engine.raw_failures.items()
+        }
     }
-    matcher_live, matcher_results = _encode_matcher(engine.matcher, delta)
-    coverage_live, coverage_results = _encode_coverage(engine.coverage, delta)
-    flaps_live, flaps_results = _encode_flaps(engine.flaps, delta)
-    return {
+    document: Dict[str, Any] = {
         "version": CHECKPOINT_VERSION,
-        "options": encode_options(engine.options),
+        "options": encode(engine.options),
         "horizon_start": engine.horizon_start,
         "horizon_end": engine.horizon_end,
-        "watermark": _encode_maybe_inf(engine.watermark),
+        "watermark": engine.watermark,
         "events_consumed": engine.events_consumed,
         "counters": dict(engine.counters),
-        "mergers": {
-            key: _encode_merger(engine.mergers[key]) for key in MERGER_KEYS
-        },
-        "timelines": {
-            channel: {
-                link: _encode_timeline(timeline)
-                for link, timeline in sorted(engine.timelines[channel].items())
-            }
-            for channel in channels
-        },
-        "sanitizers": {channel: sanitizers[channel][0] for channel in channels},
-        "matcher": matcher_live,
-        "coverage": coverage_live,
-        "flaps": flaps_live,
-        "results": [
-            {
-                "raw_failures": {
-                    channel: [
-                        encode_failure(f)
-                        for f in delta.new(
-                            f"raw.{channel}", engine.raw_failures[channel]
-                        )
-                    ]
-                    for channel in channels
-                },
-                "sanitizers": {
-                    channel: sanitizers[channel][1] for channel in channels
-                },
-                "matcher": matcher_results,
-                "coverage": coverage_results,
-                "flaps": flaps_results,
-            }
-        ],
     }
+    encode_timeline = _machine_state(TimelineBuilder)[1][0]
+    assert encode_timeline is not None
+    with _bound(_REFS, delta.refs):
+        document["timelines"] = {
+            channel: {link: encode_timeline(timeline) for link, timeline in timelines.items()}
+            for channel, timelines in engine.timelines.items()
+        }
+        for section, key, machine in _machines(engine):
+            name = section if key is None else f"{section}.{key}"
+            live, products = _encode_machine(machine, name, delta)
+            _put(document, section, key, live)
+            _put(chunk, section, key, products)
+    document["results"] = [chunk]
+    return document
+
+
+@contextlib.contextmanager
+def _bound(var: "ContextVar[Any]", value: Any) -> Iterator[None]:
+    token = var.set(value)
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
+def _put(target: Dict[str, Any], section: str, key: Optional[str], value: Any) -> None:
+    if key is None:
+        target[section] = value
+    else:
+        target.setdefault(section, {})[key] = value
+
+
+def _get(source: Dict[str, Any], section: str, key: Optional[str]) -> Any:
+    return source[section] if key is None else source[section][key]
 
 
 def decode_engine(
@@ -382,8 +563,7 @@ def decode_engine(
     listener_outages: IntervalSet,
     tickets: Optional[TicketSystem],
 ) -> "StreamEngine":  # noqa: F821
-    from repro.stream.engine import MERGER_KEYS, StreamEngine
-    from repro.stream.sources import ISIS_CHANNEL, SYSLOG_CHANNEL
+    from repro.stream.engine import StreamEngine, StreamOptions
 
     if not isinstance(state, dict):
         raise CheckpointError(
@@ -406,44 +586,27 @@ def decode_engine(
             state["horizon_end"],
             listener_outages,
             tickets,
-            decode_options(state["options"]),
+            decode(StreamOptions, state["options"]),
         )
-        engine.watermark = _decode_watermark(state["watermark"])
+        engine.watermark = state["watermark"]
         engine.events_consumed = state["events_consumed"]
         engine.counters = dict(state["counters"])
         chunks = state["results"]
-        raw = engine.raw_failures
-        for key in MERGER_KEYS:
-            _decode_merger(engine.mergers[key], state["mergers"][key])
-        for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL):
-            for chunk in chunks:
-                raw[channel].extend(
-                    decode_failure(f) for f in chunk["raw_failures"][channel]
+        for chunk in chunks:
+            for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL):
+                raw = chunk["raw_failures"][channel]
+                engine.raw_failures[channel].extend(decode(_FAILURES, raw))
+        with _bound(_DEREF, _dereferencer(engine.raw_failures)):
+            for channel, timelines in engine.timelines.items():
+                for link, raw in state["timelines"][channel].items():
+                    timeline = timelines[link] = engine.new_timeline(channel, link)
+                    _restore_machine(timeline, raw, [])
+            for section, key, machine in _machines(engine):
+                _restore_machine(
+                    machine,
+                    _get(state, section, key),
+                    [_get(chunk, section, key) for chunk in chunks],
                 )
-            for link, raw_timeline in state["timelines"][channel].items():
-                engine.timelines[channel][link] = _decode_timeline(
-                    engine, channel, link, raw_timeline
-                )
-            _decode_sanitizer(
-                engine.sanitizers[channel],
-                state["sanitizers"][channel],
-                [chunk["sanitizers"][channel] for chunk in chunks],
-                raw[channel],
-            )
-        _decode_matcher(
-            engine.matcher,
-            state["matcher"],
-            [chunk["matcher"] for chunk in chunks],
-            raw,
-        )
-        _decode_coverage(
-            engine.coverage,
-            state["coverage"],
-            [chunk["coverage"] for chunk in chunks],
-        )
-        _decode_flaps(
-            engine.flaps, state["flaps"], [chunk["flaps"] for chunk in chunks]
-        )
     except CheckpointError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
@@ -468,10 +631,7 @@ def restore_engine(
     try:
         segment = state["segment"]
         engine._segment = SegmentMark(
-            segment["path"],
-            segment["length"],
-            segment["crc"],
-            dict(segment["written"]),
+            segment["path"], segment["length"], segment["crc"], dict(segment["written"])
         )
     except (KeyError, TypeError, ValueError) as error:
         raise CheckpointError(
@@ -480,312 +640,60 @@ def restore_engine(
     return engine
 
 
-# ------------------------------------------------------- component codecs
-def _encode_merger(merger: "RunMerger") -> Dict[str, Any]:  # noqa: F821
-    return {
-        "transition_count": merger.transition_count,
-        "open_runs": {
-            link: [encode_message(m) for m in run]
-            for link, run in sorted(merger.open_runs.items())
-        },
-    }
-
-
-def _decode_merger(
-    merger: "RunMerger", raw: Dict[str, Any]  # noqa: F821
-) -> None:
-    merger.transition_count = raw["transition_count"]
-    for link, run in raw["open_runs"].items():
-        merger.open_runs[link] = [decode_message(m) for m in run]
-
-
-#: The four lists of a sanitisation report, in segment order.
-_REPORT_LISTS = (
-    "kept",
-    "removed_listener_overlap",
-    "removed_unverified_long",
-    "verified_long",
-)
-
-
-def _encode_sanitizer(
-    sanitizer: "Sanitizer", delta: _Delta, channel: str  # noqa: F821
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    report = sanitizer.report
-    decided = {
-        name: [
-            delta.ref(channel, f)
-            for f in delta.new(
-                f"sanitizer.{channel}.{name}", getattr(report, name)
-            )
-        ]
-        for name in _REPORT_LISTS
-    }
-    live = {
-        "held": {
-            link: [delta.ref(channel, f) for f in queue]
-            for link, queue in sorted(sanitizer.held.items())
-        },
-    }
-    return live, {"report": decided}
-
-
-def _decode_sanitizer(
-    sanitizer: "Sanitizer",  # noqa: F821
-    raw: Dict[str, Any],
-    results: List[Dict[str, Any]],
-    failures: List[FailureEvent],
-) -> None:
-    for part in results:
-        for name in _REPORT_LISTS:
-            getattr(sanitizer.report, name).extend(
-                _deref(failures, i) for i in part["report"][name]
-            )
-    for link, queue in raw["held"].items():
-        sanitizer.held[link] = deque(_deref(failures, i) for i in queue)
-
-
-def _encode_timeline(timeline: "TimelineBuilder") -> Dict[str, Any]:  # noqa: F821
-    return {
-        "cursor": timeline.cursor,
-        "state": timeline.state.value,
-        "last_message_time": timeline.last_message_time,
-        "tail": None
-        if timeline.tail is None
-        else [timeline.tail[0], timeline.tail[1], timeline.tail[2].value],
-        "pending": [encode_transition(t) for t in timeline.pending],
-        "pending_time": timeline.pending_time,
-        "index": [
-            [time, direction, encode_transition(transition)]
-            for (time, direction), transition in sorted(timeline.index.items())
-        ],
-        "anomaly_count": timeline.anomaly_count,
-        # Always empty between events (the engine collects after every
-        # feed and advance); these failures are not in the segment yet.
-        "emitted": [encode_failure(f) for f in timeline.emitted],
-        "flushed": timeline.flushed,
-    }
-
-
-def _decode_timeline(
-    engine: "StreamEngine",  # noqa: F821
-    channel: str,
-    link: str,
-    raw: Dict[str, Any],
-) -> "TimelineBuilder":  # noqa: F821
-    from repro.core.events import SOURCE_ISIS_IS, SOURCE_SYSLOG
-    from repro.stream.sources import SYSLOG_CHANNEL
-    from repro.engine.timeline import TimelineBuilder
-
-    timeline = TimelineBuilder(
-        link,
-        engine.horizon_start,
-        engine.horizon_end,
-        engine.options.analysis.syslog.strategy
-        if channel == SYSLOG_CHANNEL
-        else engine.options.analysis.isis.strategy,
-        SOURCE_SYSLOG if channel == SYSLOG_CHANNEL else SOURCE_ISIS_IS,
-    )
-    timeline.cursor = raw["cursor"]
-    timeline.state = LinkState(raw["state"])
-    timeline.last_message_time = raw["last_message_time"]
-    tail = raw["tail"]
-    timeline.tail = (
-        None if tail is None else (tail[0], tail[1], LinkState(tail[2]))
-    )
-    timeline.pending = [decode_transition(t) for t in raw["pending"]]
-    timeline.pending_time = raw["pending_time"]
-    timeline.index = {
-        (time, direction): decode_transition(transition)
-        for time, direction, transition in raw["index"]
-    }
-    timeline.anomaly_count = raw["anomaly_count"]
-    timeline.emitted = [decode_failure(f) for f in raw["emitted"]]
-    timeline.flushed = raw["flushed"]
-    return timeline
-
-
-def _encode_matcher(
-    matcher: "Matcher", delta: _Delta  # noqa: F821
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    from repro.stream.sources import ISIS_CHANNEL, SYSLOG_CHANNEL
-
-    def refs(name: str, channel: str, items: List[FailureEvent]) -> List[int]:
-        return [delta.ref(channel, f) for f in delta.new(name, items)]
-
-    live = {
-        "links": {
-            link: {
-                "a_pending": len(state.a_pending),
-                "b_pending": list(state.b_pending),
-                "a_all": [delta.ref(SYSLOG_CHANNEL, f) for f in state.a_all],
-                "b_all": [delta.ref(ISIS_CHANNEL, f) for f in state.b_all],
-                "b_consumed": list(state.b_consumed),
-            }
-            for link, state in sorted(matcher.links.items())
-        },
-    }
-    results = {
-        "pairs": [
-            [delta.ref(SYSLOG_CHANNEL, fa), delta.ref(ISIS_CHANNEL, fb)]
-            for fa, fb in delta.new("matcher.pairs", matcher.pairs)
-        ],
-        "only_a": refs("matcher.only_a", SYSLOG_CHANNEL, matcher.only_a),
-        "only_b": refs("matcher.only_b", ISIS_CHANNEL, matcher.only_b),
-        "partial_a": refs("matcher.partial_a", SYSLOG_CHANNEL, matcher.partial_a),
-        "partial_b": refs("matcher.partial_b", ISIS_CHANNEL, matcher.partial_b),
-    }
-    return live, results
-
-
-def _decode_matcher(
-    matcher: "Matcher",  # noqa: F821
-    raw: Dict[str, Any],
-    results: List[Dict[str, Any]],
-    failures: Dict[str, List[FailureEvent]],
-) -> None:
-    from repro.stream.sources import ISIS_CHANNEL, SYSLOG_CHANNEL
-
-    a_side = failures[SYSLOG_CHANNEL]
-    b_side = failures[ISIS_CHANNEL]
-    for part in results:
-        matcher.pairs.extend(
-            (_deref(a_side, a), _deref(b_side, b)) for a, b in part["pairs"]
-        )
-        matcher.only_a.extend(_deref(a_side, i) for i in part["only_a"])
-        matcher.only_b.extend(_deref(b_side, i) for i in part["only_b"])
-        matcher.partial_a.extend(_deref(a_side, i) for i in part["partial_a"])
-        matcher.partial_b.extend(_deref(b_side, i) for i in part["partial_b"])
-    for link, raw_state in raw["links"].items():
-        state = matcher._state(link)
-        state.a_all = [_deref(a_side, i) for i in raw_state["a_all"]]
-        state.b_all = [_deref(b_side, i) for i in raw_state["b_all"]]
-        state.b_consumed = list(raw_state["b_consumed"])
-        # a_pending is always the trailing slice of a_all (decisions pop
-        # from the front in arrival order), so its length suffices.
-        pending = raw_state["a_pending"]
-        state.a_pending = deque(
-            state.a_all[len(state.a_all) - pending :] if pending else []
-        )
-        state.b_pending = deque(raw_state["b_pending"])
-
-
-def _encode_coverage(
-    coverage: "CoverageScorer", delta: _Delta  # noqa: F821
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    live = {
-        "counts": {
-            direction: {str(bucket): count for bucket, count in buckets.items()}
-            for direction, buckets in coverage.counts.items()
-        },
-        "pending": [encode_transition(t) for t in coverage.pending],
-        "messages": [
-            [link, direction, [[time, reporter] for time, reporter in ring]]
-            for (link, direction), ring in sorted(coverage.messages.items())
-        ],
-    }
-    results = {
-        "unmatched": [
-            encode_transition(t)
-            for t in delta.new("coverage.unmatched", coverage.unmatched)
-        ],
-    }
-    return live, results
-
-
-def _decode_coverage(
-    coverage: "CoverageScorer",  # noqa: F821
-    raw: Dict[str, Any],
-    results: List[Dict[str, Any]],
-) -> None:
-    coverage.counts = {
-        direction: {int(bucket): count for bucket, count in buckets.items()}
-        for direction, buckets in raw["counts"].items()
-    }
-    for part in results:
-        coverage.unmatched.extend(decode_transition(t) for t in part["unmatched"])
-    coverage.pending = deque(decode_transition(t) for t in raw["pending"])
-    for link, direction, ring in raw["messages"]:
-        coverage.messages[(link, direction)] = deque(
-            (time, reporter) for time, reporter in ring
-        )
-
-
-def _encode_flaps(
-    flaps: "FlapDetector", delta: _Delta  # noqa: F821
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    live = {
-        "runs": {
-            link: [run.start, run.end, run.count]
-            for link, run in sorted(flaps.runs.items())
-        },
-    }
-    results = {
-        "episodes": [
-            encode_episode(e) for e in delta.new("flaps.episodes", flaps.episodes)
-        ],
-    }
-    return live, results
-
-
-def _decode_flaps(
-    flaps: "FlapDetector",  # noqa: F821
-    raw: Dict[str, Any],
-    results: List[Dict[str, Any]],
-) -> None:
-    from repro.engine.flaps import FlapRun
-
-    for part in results:
-        flaps.episodes.extend(decode_episode(e) for e in part["episodes"])
-    for link, (start, end, count) in raw["runs"].items():
-        run = FlapRun.__new__(FlapRun)
-        run.start = start
-        run.end = end
-        run.count = count
-        flaps.runs[link] = run
-
-
 # -------------------------------------------------------------- file I/O
 def save_checkpoint(path: str, engine: "StreamEngine") -> None:  # noqa: F821
-    """Append the engine's new results to the segment, then its frontier.
+    """Append the engine's new results to its segment, then its frontier.
 
     The segment is cut to the length this engine itself committed (zero
     for an engine that never saved here), so a stale segment left by
     another run, or a tail torn by a crash, is never extended.  Only
     after the appended chunk is fsynced is the frontier renamed into
-    place, so a crash leaves the previous checkpoint — unless this is
-    the engine's first save here and a checkpoint it did not load
-    already sits at ``path``: cutting to zero destroys that
-    checkpoint's segment, and a crash before the rename leaves a
-    frontier that loads as a :class:`CheckpointError`.
+    place, so a crash leaves the previous checkpoint.  An engine's first
+    save here writes the segment name the frontier already at ``path``
+    does not name, and removes the other name only once its own frontier
+    has replaced that one.
     """
-    segment = segment_path(path)
+    names = _segment_names(path)
     mark = engine._segment
-    if mark is None or mark.path != os.path.abspath(segment):
-        mark = SegmentMark(segment)
+    fresh = mark is None or mark.path not in names
+    if fresh:
+        mark = SegmentMark(names[1] if _named_segment(path) == names[0] else names[0])
+    assert mark is not None
     delta = _Delta(engine, mark)
     document = encode_engine(engine, delta)
     (chunk,) = document.pop("results")
     data = json.dumps(chunk, separators=(",", ":")).encode("ascii") + b"\n"
-    with open(segment, "ab") as handle:
+    with open(mark.path, "ab") as handle:
         handle.truncate(mark.length)
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     length = mark.length + len(data)
     crc = zlib.crc32(data, mark.crc)
-    document["segment"] = {"length": length, "crc": crc, "written": delta.counts}
+    document["segment"] = {
+        "file": os.path.basename(mark.path),
+        "length": length,
+        "crc": crc,
+        "written": delta.counts,
+    }
     write_json_atomic(path, document)
-    engine._segment = SegmentMark(segment, length, crc, delta.counts, mark.refs)
+    if fresh:
+        for superseded in names:
+            if superseded != mark.path:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(superseded)
+    mark.length, mark.crc, mark.written = length, crc, delta.counts
+    engine._segment = mark
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
     """Read a checkpoint; raises :class:`CheckpointError` if it is bad.
 
     Returns the frontier document with ``"results"`` holding every chunk
-    of the segment's committed prefix (what :meth:`StreamEngine.restore`
-    takes).  A tail past the committed length — a save that crashed
-    before its rename — is ignored here and cut by the next save.
+    of the committed prefix of the segment it names (what
+    :meth:`StreamEngine.restore` takes).  A tail past the committed
+    length — a save that crashed before its rename — is ignored here and
+    cut by the next save.
 
     Every corruption mode a crashed or interrupted writer can produce —
     unreadable file, truncated or garbled JSON, a document of the wrong
@@ -815,8 +723,10 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
             f"supported (expected {CHECKPOINT_VERSION})"
         )
     segment = document.get("segment")
+    named = _segment_of(path, document)
     if not (
-        isinstance(segment, dict)
+        named is not None
+        and isinstance(segment, dict)
         and isinstance(segment.get("length"), int)
         and isinstance(segment.get("crc"), int)
         and segment["length"] >= 0
@@ -827,8 +737,8 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
         )
     ):
         raise CheckpointError(f"checkpoint {path} has no valid segment record")
-    document["segment"] = dict(segment, path=segment_path(path))
-    document["results"] = _read_segment(segment_path(path), segment)
+    document["segment"] = dict(segment, path=named)
+    document["results"] = _read_segment(named, segment)
     return document
 
 

@@ -57,7 +57,7 @@ from repro.engine.merge import RunMerger
 from repro.engine.sanitize import Sanitizer
 from repro.engine.timeline import TimelineBuilder
 from repro.faults.ledger import IngestReport
-from repro.intervals import AmbiguityStrategy, IntervalSet
+from repro.intervals import IntervalSet
 from repro.simulation.dataset import Dataset
 from repro.stream import checkpoint as checkpoint_codec
 from repro.stream.sources import (
@@ -137,7 +137,7 @@ class StreamEngine:
         self.resolver = resolver
         self.horizon_start = horizon_start
         self.horizon_end = horizon_end
-        self.single_links = {record.name for record in resolver.single_links()}  # reprolint: disable=C001 -- derived from the resolver; the constructor rebuilds it on resume
+        self.single_links = {record.name for record in resolver.single_links()}
 
         self.watermark = -math.inf
         self.events_consumed = 0
@@ -262,22 +262,29 @@ class StreamEngine:
     def _feed_timeline(self, channel: str, transition: Transition) -> None:
         timeline = self.timelines[channel].get(transition.link)
         if timeline is None:
-            timeline = self.timelines[channel][transition.link] = TimelineBuilder(
-                transition.link,
-                self.horizon_start,
-                self.horizon_end,
-                self._strategy(channel),
-                SOURCE_SYSLOG if channel == SYSLOG_CHANNEL else SOURCE_ISIS_IS,
+            timeline = self.timelines[channel][transition.link] = self.new_timeline(
+                channel, transition.link
             )
         timeline.feed(transition)
         self._collect_failures(channel, timeline)
 
-    def _strategy(self, channel: str) -> AmbiguityStrategy:
+    def new_timeline(self, channel: str, link: str) -> TimelineBuilder:
+        """A fresh timeline machine for ``link``, configured for ``channel``."""
         analysis = self.options.analysis
-        return (
-            analysis.syslog.strategy
-            if channel == SYSLOG_CHANNEL
-            else analysis.isis.strategy
+        if channel == SYSLOG_CHANNEL:
+            return TimelineBuilder(
+                link,
+                self.horizon_start,
+                self.horizon_end,
+                analysis.syslog.strategy,
+                SOURCE_SYSLOG,
+            )
+        return TimelineBuilder(
+            link,
+            self.horizon_start,
+            self.horizon_end,
+            analysis.isis.strategy,
+            SOURCE_ISIS_IS,
         )
 
     def _collect_failures(self, channel: str, timeline: TimelineBuilder) -> None:

@@ -24,6 +24,20 @@ from repro.syslog.message import (
 )
 from repro.syslog.transport import DeliveryRecord
 
+#: How lenient ingestion decodes log bytes: each undecodable octet becomes
+#: a lone surrogate that encodes back to that same octet, so drop offsets
+#: count the file's own bytes.
+LENIENT_ERRORS = "surrogateescape"
+
+
+def line_octets(line: str) -> int:
+    """How many octets ``line`` took in the file it was decoded from."""
+    try:
+        return len(line.encode("utf-8", LENIENT_ERRORS))
+    except UnicodeEncodeError:
+        # A surrogate no decode produces: the text was built in memory.
+        return len(line.encode("utf-8", "surrogatepass"))
+
 
 @dataclass(frozen=True)
 class CollectedEntry:
@@ -149,7 +163,7 @@ class SyslogCollector:
         for line_number, line in enumerate(text.split("\n"), start=1):
             if not strict:
                 line_offset = offset
-                offset += len(line.encode("utf-8", errors="surrogatepass")) + 1
+                offset += line_octets(line) + 1
             if not line.strip():
                 continue
             if strict:
@@ -185,10 +199,11 @@ class SyslogCollector:
         """Read and parse a log file; lenient mode survives broken UTF-8.
 
         In strict mode undecodable bytes raise ``UnicodeDecodeError`` as
-        before; in lenient mode they decode with replacement characters,
-        which makes the affected lines unparseable and therefore visible
-        in the ledger rather than fatal.
+        before; in lenient mode they decode as lone surrogates
+        (:data:`LENIENT_ERRORS`), which makes the affected lines
+        unparseable and therefore visible in the ledger rather than fatal,
+        at offsets that count the file's bytes.
         """
         data = Path(path).read_bytes()
-        text = data.decode("utf-8", errors="strict" if strict else "replace")
+        text = data.decode("utf-8", errors="strict" if strict else LENIENT_ERRORS)
         return cls.parse_log(text, strict=strict, report=report)

@@ -182,61 +182,6 @@ def test_m002_quiet_on_immutable_singleton():
     assert run_rule("M002", source) == []
 
 
-# --------------------------------------------------------------- C001/C002
-CODEC_CLEAN = (
-    "class Counter:\n"
-    "    def __init__(self):\n"
-    "        self.count = 0\n"
-    "        self.last_seen = 0.0\n"
-    "def encode_counter(counter: 'Counter'):\n"
-    "    return {'count': counter.count, 'last_seen': counter.last_seen}\n"
-    "def decode_counter(counter: 'Counter', raw):\n"
-    "    counter.count = raw['count']\n"
-    "    counter.last_seen = raw['last_seen']\n"
-)
-
-CODEC_DROPPED_FIELD = (
-    "class Counter:\n"
-    "    def __init__(self):\n"
-    "        self.count = 0\n"
-    "        self.overflowed = False\n"
-    "def encode_counter(counter: 'Counter'):\n"
-    "    return {'count': counter.count}\n"
-    "def decode_counter(counter: 'Counter', raw):\n"
-    "    counter.count = raw['count']\n"
-)
-
-CODEC_KEY_DRIFT = (
-    "class Counter:\n"
-    "    def __init__(self):\n"
-    "        self.count = 0\n"
-    "def encode_counter(counter: 'Counter'):\n"
-    "    return {'count': counter.count}\n"
-    "def decode_counter(counter: 'Counter', raw):\n"
-    "    counter.count = raw['cuont']\n"
-)
-
-
-def test_c001_quiet_on_complete_codec():
-    assert run_rule("C001", CODEC_CLEAN) == []
-
-
-def test_c001_flags_dropped_field():
-    findings = run_rule("C001", CODEC_DROPPED_FIELD)
-    assert len(findings) == 1
-    assert "overflowed" in findings[0].message
-
-
-def test_c002_flags_key_spelling_drift():
-    findings = run_rule("C002", CODEC_KEY_DRIFT)
-    messages = " | ".join(f.message for f in findings)
-    assert "cuont" in messages
-
-
-def test_c002_quiet_on_complete_codec():
-    assert run_rule("C002", CODEC_CLEAN) == []
-
-
 # --------------------------------------------------------------- T001/T002
 def test_t001_flags_datetime_plus_number():
     source = (
@@ -342,16 +287,6 @@ SUPPRESSED_SOURCES = {
         "DEFAULTS = [1.0]\n"
         "def f(buckets=DEFAULTS):  # reprolint: disable=M002 -- treated as read-only\n"
         "    return buckets\n"
-    ),
-    "C001": (
-        "class Counter:\n"
-        "    def __init__(self):\n"
-        "        self.count = 0\n"
-        "        self.cache = {}  # reprolint: disable=C001 -- rebuilt lazily on resume\n"
-        "def encode_counter(counter: 'Counter'):\n"
-        "    return {'count': counter.count}\n"
-        "def decode_counter(counter: 'Counter', raw):\n"
-        "    counter.count = raw['count']\n"
     ),
     "T001": (
         "from datetime import datetime\n"

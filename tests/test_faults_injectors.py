@@ -23,6 +23,7 @@ import struct
 
 import pytest
 
+from repro.columnar import parse_log_columnar
 from repro.faults.injectors import (
     CHECKPOINT_MODES,
     INJECTOR_NAMES,
@@ -51,6 +52,7 @@ from repro.isis.mrt import (
     MrtDumpWriter,
     MrtFormatError,
 )
+from repro.simulation.dataset import Dataset
 from repro.stream.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -181,6 +183,78 @@ class TestLogInjectors:
             # Some drop follows a multi-byte character, so a character
             # count would be wrong there.
             assert any(drop.offset != starts[drop.index - 1] for drop in drops)
+
+
+class _RecordingReport(IngestReport):
+    """An ingest report that also keeps every drop record it is given."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.drops = []
+
+    def record(self, *args, **kwargs):
+        self.drops.append(super().record(*args, **kwargs))
+        return self.drops[-1]
+
+
+class TestLenientOffsetsOnFiles:
+    """Drops found after undecodable bytes point at their line in the file."""
+
+    @staticmethod
+    def _damage(raw: bytes) -> bytes:
+        damaged = inject_garbage_lines(raw, rng("file-garbage"), count=12)
+        damaged = truncate_log_lines(damaged, rng("file-cut"), count=8)
+        with pytest.raises(UnicodeDecodeError):
+            damaged.decode("utf-8")
+        return damaged
+
+    @staticmethod
+    def _assert_at_line_starts(raw: bytes, drops) -> None:
+        starts = [0]
+        for line in raw.split(b"\n"):
+            starts.append(starts[-1] + len(line) + 1)
+        assert len(drops) >= 12
+        for drop in drops:
+            assert drop.offset == starts[drop.index - 1], drop
+
+    def test_read_log(self, tmp_path):
+        lines = [
+            SyslogMessage(10.0 * i, f"rtr-{i:02d}", f"lien coupé n°{i}").render()
+            for i in range(40)
+        ]
+        raw = self._damage(("\n".join(lines) + "\n").encode("utf-8"))
+        path = tmp_path / "syslog.log"
+        path.write_bytes(raw)
+        report = _RecordingReport()
+        SyslogCollector.read_log(path, strict=False, report=report)
+        self._assert_at_line_starts(raw, report.drops)
+
+    @pytest.mark.parametrize("ingest", ["scalar", "columnar"])
+    def test_dataset_load(self, tmp_path, small_dataset, ingest):
+        small_dataset.save(tmp_path)
+        log = tmp_path / "syslog.log"
+        raw = self._damage(log.read_bytes())
+        log.write_bytes(raw)
+        dataset = Dataset.load(
+            tmp_path, small_dataset.network, strict=False, report=IngestReport()
+        )
+        parse = (
+            SyslogCollector.parse_log if ingest == "scalar" else parse_log_columnar
+        )
+        report = _RecordingReport()
+        parse(dataset.syslog_text, strict=False, report=report)
+        self._assert_at_line_starts(raw, report.drops)
+
+    def test_dataset_saves_the_bytes_it_loaded(self, tmp_path, small_dataset):
+        small_dataset.save(tmp_path / "damaged")
+        log = tmp_path / "damaged" / "syslog.log"
+        raw = self._damage(log.read_bytes())
+        log.write_bytes(raw)
+        dataset = Dataset.load(
+            tmp_path / "damaged", small_dataset.network, strict=False, report=IngestReport()
+        )
+        dataset.save(tmp_path / "copy")
+        assert (tmp_path / "copy" / "syslog.log").read_bytes() == raw
 
 
 class TestMrtInjectors:

@@ -292,20 +292,21 @@ class TestCheckpointResume:
             small_analysis, stream_dataset(small_dataset, resume_state=state)
         )
 
-    def test_fresh_save_killed_over_a_checkpoint_is_typed(
-        self, tmp_path, small_dataset, monkeypatch
+    def test_fresh_save_killed_over_a_checkpoint_keeps_it(
+        self, tmp_path, small_dataset, small_analysis, monkeypatch
     ):
-        # A fresh engine's first save cuts the segment to zero before its
-        # frontier replaces the old one.  Killed in between, the old
-        # frontier is left pointing at bytes it no longer matches: the
-        # previous checkpoint is lost, but it loads as a typed error,
-        # never as another run's results.
+        # A fresh engine's first save writes the segment name the old
+        # frontier does not name.  Killed before its frontier replaces
+        # the old one, it has touched neither old file: the previous
+        # checkpoint still loads and resumes exactly.
         from repro.stream import checkpoint
 
         path = tmp_path / "engine.ckpt"
         save = lambda e: save_checkpoint(str(path), e)  # noqa: E731
         stream_dataset(small_dataset, checkpoint_at=[1500], on_checkpoint=save)
         frontier = path.read_bytes()
+        segment = Path(segment_path(str(path)))
+        committed = segment.read_bytes()
 
         def killed(target, document):
             raise KeyboardInterrupt("killed before the frontier rename")
@@ -317,8 +318,34 @@ class TestCheckpointResume:
                     small_dataset, checkpoint_at=[cut], on_checkpoint=save
                 )
             assert path.read_bytes() == frontier
-            with pytest.raises(CheckpointError, match="results segment"):
-                load_checkpoint(str(path))
+            assert segment.read_bytes() == committed
+        monkeypatch.undo()
+        state = load_checkpoint(str(path))
+        assert state["events_consumed"] == 1500
+        assert_equivalent(
+            small_analysis, stream_dataset(small_dataset, resume_state=state)
+        )
+
+    def test_fresh_save_supersedes_the_old_segment_after_its_rename(
+        self, tmp_path, small_dataset, small_analysis
+    ):
+        # Fresh engines alternate between two segment names, and each
+        # removes the one it superseded once its own frontier is in.
+        path = tmp_path / "engine.ckpt"
+        save = lambda e: save_checkpoint(str(path), e)  # noqa: E731
+        segments = []
+        for cut in (1500, 500, 1000):
+            stream_dataset(small_dataset, checkpoint_at=[cut], on_checkpoint=save)
+            segments.append(Path(segment_path(str(path))).name)
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                [path.name, segments[-1]]
+            )
+        assert segments[0] == segments[2] != segments[1]
+        state = load_checkpoint(str(path))
+        assert state["events_consumed"] == 1000
+        assert_equivalent(
+            small_analysis, stream_dataset(small_dataset, resume_state=state)
+        )
 
     def test_segment_tail_past_commit_is_ignored(
         self, tmp_path, small_dataset, small_analysis
@@ -457,7 +484,7 @@ class TestSegmentWrittenOnce:
             segment = Path(segment_path(str(path))).read_bytes()
             chunks = [json.loads(line) for line in segment.splitlines()]
             for channel, failures in engine.raw_failures.items():
-                encoded = [codec.encode_failure(f) for f in failures]
+                encoded = [codec.encode(f) for f in failures]
                 stored = [
                     f for chunk in chunks for f in chunk["raw_failures"][channel]
                 ]

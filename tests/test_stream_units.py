@@ -11,10 +11,19 @@ JSON codec round-trips.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import os
+import tempfile
+import typing
+from collections import deque
+from types import SimpleNamespace
+from typing import Deque, Dict, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import (
     SOURCE_ISIS_IS,
@@ -23,15 +32,25 @@ from repro.core.events import (
     LinkMessage,
     Transition,
 )
+from repro.core.extract_syslog import SyslogExtractionConfig
 from repro.core.flapping import FlapEpisode
+from repro.core.pipeline import AnalysisOptions
 from repro.core.sanitize import SanitizationConfig, SanitizationReport
+from repro.faults.chaos import stream_signature
 from repro.intervals import Interval, IntervalSet
 from repro.intervals.timeline import AmbiguityStrategy
-from repro.engine.flaps import FlapDetector
-from repro.engine.matching import CoverageScorer, Matcher
+from repro.engine.flaps import FlapDetector, FlapRun
+from repro.engine.matching import CoverageScorer, Matcher, _LinkMatchState
 from repro.engine.merge import RunMerger
 from repro.engine.sanitize import Sanitizer
 from repro.engine.timeline import TimelineBuilder
+from repro.stream import (
+    StreamEngine,
+    StreamOptions,
+    load_checkpoint,
+    save_checkpoint,
+    stream_dataset,
+)
 from repro.stream import checkpoint as codec
 from repro.stream.sources import (
     ISIS_CHANNEL,
@@ -403,62 +422,267 @@ class TestFlapDetector:
             FlapDetector(0.0)
 
 
-class TestCodecs:
-    def roundtrip(self, encoded):
-        return json.loads(json.dumps(encoded))
+def _json(data):
+    """``data`` as it comes back from a JSON file."""
+    return json.loads(json.dumps(data))
 
-    def test_message_roundtrip(self):
-        m = message(123.456, link="lk-z", reporter="r7")
-        assert codec.decode_message(self.roundtrip(codec.encode_message(m))) == m
 
-    def test_transition_roundtrip_preserves_reporters_and_messages(self):
-        t = Transition(
-            time=5.0,
-            link="lk-a",
-            direction="up",
-            source=SOURCE_ISIS_IS,
-            reporters=frozenset({"r2", "r1"}),
-            messages=(message(5.0), message(6.0, reporter="r2")),
-        )
-        back = codec.decode_transition(self.roundtrip(codec.encode_transition(t)))
-        assert back == t
-        assert back.reporters == frozenset({"r1", "r2"})
+def _resolver(single):
+    """The one resolver call the engine makes: which links are single."""
+    records = [SimpleNamespace(name=name) for name in single]
+    return SimpleNamespace(single_links=lambda: records)
 
-    def test_failure_roundtrip_with_attached_transitions(self):
-        f = FailureEvent(
-            link="lk-a",
-            start=10.0,
-            end=20.0,
-            source=SOURCE_ISIS_IS,
-            start_transition=transition(10.0, direction="down"),
-            end_transition=transition(20.0, direction="up"),
-        )
-        assert codec.decode_failure(self.roundtrip(codec.encode_failure(f))) == f
-        bare = failure(1.0, 2.0)
-        assert (
-            codec.decode_failure(self.roundtrip(codec.encode_failure(bare)))
-            == bare
-        )
 
-    def test_episode_roundtrip(self):
-        e = FlapEpisode(link="lk-a", start=0.0, end=100.0, failure_count=4)
-        assert codec.decode_episode(self.roundtrip(codec.encode_episode(e))) == e
+#: Random event streams: steps that straddle the merge (30 s), matching
+#: (10 s) and flap (600 s) windows and the 24 h ticket threshold.
+_STEPS = st.sampled_from([0.0, 0.5, 4.0, 20.0, 45.0, 400.0, 900.0, 40000.0, 90000.0])
+_LINKS = ("lk-a", "lk-b", "lk-c")
+#: lk-c is not a single link: its syslog transitions feed no timeline.
+_SINGLE = ("lk-a", "lk-b")
+#: What one step does besides flipping a link: nothing, a repeated
+#: report, or an event that carries no link state.
+_EXTRAS = st.sampled_from(
+    [None] * 5
+    + ["repeat", (SYSLOG_CHANNEL, "physical"), (SYSLOG_CHANNEL, "unparsed")]
+    + [(ISIS_CHANNEL, "ip"), (ISIS_CHANNEL, "tick")]
+)
 
-    def test_report_roundtrip(self):
-        report = SanitizationReport()
-        report.kept = [failure(1.0, 2.0)]
-        report.removed_unverified_long = [failure(3.0, 100000.0)]
-        back = codec.decode_report(self.roundtrip(codec.encode_report(report)))
-        assert back.kept == report.kept
-        assert back.removed_unverified_long == report.removed_unverified_long
-        assert back.removed_listener_overlap == []
-        assert back.verified_long == []
+
+@st.composite
+def event_streams(draw):
+    """Links going down and up, reported by either channel or both."""
+    time = 1000.0
+    state = dict.fromkeys(_LINKS, "up")
+    events = []
+
+    def report(channel, kind, link, direction, reporter):
+        source = SOURCE_SYSLOG if channel == SYSLOG_CHANNEL else SOURCE_ISIS_IS
+        message = LinkMessage(time, link, direction, reporter, source, kind)
+        events.append(StreamEvent(time, channel, kind, message))
+
+    steps = st.tuples(
+        _STEPS,
+        st.sampled_from(_SINGLE * 2 + _LINKS),
+        st.sampled_from(["both", "both", SYSLOG_CHANNEL, ISIS_CHANNEL]),
+        st.sampled_from(["r1", "r2"]),
+        _EXTRAS,
+    )
+    for step, link, channels, reporter, extra in draw(
+        st.lists(steps, min_size=10, max_size=50)
+    ):
+        time += step
+        if extra is None or extra == "repeat":
+            if extra is None:
+                state[link] = "down" if state[link] == "up" else "up"
+            if channels != ISIS_CHANNEL:
+                report(SYSLOG_CHANNEL, "isis", link, state[link], reporter)
+            if channels != SYSLOG_CHANNEL:
+                report(ISIS_CHANNEL, "is", link, state[link], reporter)
+        elif extra[1] in ("physical", "ip"):
+            report(*extra, link, state[link], reporter)
+        else:
+            events.append(StreamEvent(time, *extra))
+    return events
+
+
+class TestCheckpointCodec:
+    """The derived codec: value round trips, engine round trips at random
+    cuts, and state declarations that cover every machine attribute."""
+
+    @pytest.mark.parametrize(
+        "value, tp",
+        [
+            (message(123.456, link="lk-z", reporter="r7"), LinkMessage),
+            (
+                Transition(
+                    time=5.0,
+                    link="lk-a",
+                    direction="up",
+                    source=SOURCE_ISIS_IS,
+                    reporters=frozenset({"r2", "r1"}),
+                    messages=(message(5.0), message(6.0, reporter="r2")),
+                ),
+                Transition,
+            ),
+            (
+                FailureEvent(
+                    link="lk-a",
+                    start=10.0,
+                    end=20.0,
+                    source=SOURCE_ISIS_IS,
+                    start_transition=transition(10.0, direction="down"),
+                    end_transition=transition(20.0, direction="up"),
+                ),
+                FailureEvent,
+            ),
+            (failure(1.0, 2.0), FailureEvent),
+            (FlapEpisode(link="lk-a", start=0.0, end=100.0, failure_count=4), FlapEpisode),
+            (
+                SanitizationReport(
+                    kept=[failure(1.0, 2.0)],
+                    removed_unverified_long=[failure(3.0, 100000.0)],
+                ),
+                SanitizationReport,
+            ),
+            (
+                StreamOptions(
+                    AnalysisOptions(
+                        syslog=SyslogExtractionConfig(
+                            strategy=AmbiguityStrategy.ASSUME_DOWN
+                        ),
+                        sanitization=SanitizationConfig(
+                            long_failure_threshold=math.inf
+                        ),
+                    ),
+                    drain_interval=7,
+                ),
+                StreamOptions,
+            ),
+            ({(1.5, "down"): transition(1.5)}, Dict[Tuple[float, str], Transition]),
+            ({"down": {0: 3, 2: 1}}, Dict[str, Dict[int, int]]),
+            (deque([(0.1 + 0.2, "r1"), (-math.inf, "r2")]), Deque[Tuple[float, str]]),
+        ],
+        ids=[
+            "message",
+            "transition",
+            "failure",
+            "bare-failure",
+            "episode",
+            "report",
+            "options",
+            "tuple-keys",
+            "int-keys",
+            "ring",
+        ],
+    )
+    def test_value_round_trip(self, value, tp):
+        encoded = _json(codec.encode(value, tp))
+        back = codec.decode(tp, encoded)
+        assert back == value
+        assert type(back) is type(value)
+        assert _json(codec.encode(back, tp)) == encoded
 
     def test_float_exactness_survives_json(self):
         # Shortest-round-trip decimal: every float comes back bit-identical.
-        times = [0.1 + 0.2, 1e-17, 86400.000000001, 2**53 + 0.0]
+        times = [0.1 + 0.2, 1e-17, 86400.000000001, 2**53 + 0.0, -math.inf]
         for t in times:
             assert json.loads(json.dumps(t)) == t
+
+    #: A listener outage and a ticket for long failures to meet.
+    CONTEXT = (
+        IntervalSet([Interval(50000.0, 50100.0)]),
+        TicketSystem([TroubleTicket("t1", "lk-a", 1000.0, 300000.0, "outage")]),
+    )
+
+    def _engine(self, options):
+        return StreamEngine(_resolver(_SINGLE), 0.0, 2.0e6, *self.CONTEXT, options)
+
+    @given(
+        events=event_streams(),
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+        drain_interval=st.sampled_from([1, 3, 8]),
+        strategy=st.sampled_from(list(AmbiguityStrategy)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_engine_round_trip_at_random_cuts(
+        self, events, cuts, drain_interval, strategy
+    ):
+        options = StreamOptions(
+            AnalysisOptions(syslog=SyslogExtractionConfig(strategy=strategy)),
+            drain_interval=drain_interval,
+        )
+        uncut = self._engine(options)
+        for event in events:
+            uncut.process(event)
+        expected = stream_signature(uncut.finish())
+
+        engine = self._engine(options)
+        position = 0
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "engine.ckpt")
+            for cut in sorted({min(cut, len(events)) for cut in cuts}):
+                for event in events[position:cut]:
+                    engine.process(event)
+                position = cut
+                document = _json(codec.encode_engine(engine))
+                restored = codec.decode_engine(
+                    document, _resolver(_SINGLE), *self.CONTEXT
+                )
+                assert _json(codec.encode_engine(restored)) == document
+                # Through the files too: the resumed engine keeps
+                # appending to the segment it was loaded from.
+                save_checkpoint(path, engine)
+                engine = StreamEngine.restore(
+                    load_checkpoint(path), _resolver(_SINGLE), *self.CONTEXT
+                )
+            for event in events[position:]:
+                engine.process(event)
+        assert stream_signature(engine.finish()) == expected
+
+
+def _machines(engine):
+    """Every machine instance inside an engine, nested ones included."""
+    yield from engine.mergers.values()
+    for timelines in engine.timelines.values():
+        yield from timelines.values()
+    yield from engine.sanitizers.values()
+    yield engine.matcher
+    yield from engine.matcher.links.values()
+    yield engine.coverage
+    yield engine.flaps
+    yield from engine.flaps.runs.values()
+
+
+#: Every class whose state a checkpoint carries.
+MACHINES = (
+    RunMerger,
+    TimelineBuilder,
+    Sanitizer,
+    Matcher,
+    _LinkMatchState,
+    CoverageScorer,
+    FlapDetector,
+    FlapRun,
+)
+
+
+@pytest.fixture(scope="module")
+def live_machines(small_dataset):
+    """Attribute names of each machine class, sampled across a run."""
+    seen = {cls: set() for cls in MACHINES}
+
+    def sample(engine):
+        for machine in _machines(engine):
+            attrs = vars(machine) if hasattr(machine, "__dict__") else {
+                name: None for name in type(machine).__slots__ if hasattr(machine, name)
+            }
+            seen[type(machine)].add(frozenset(attrs))
+
+    stream_dataset(small_dataset, checkpoint_every=250, on_checkpoint=sample)
+    return seen
+
+
+@pytest.mark.parametrize("cls", MACHINES, ids=lambda cls: cls.__name__)
+def test_state_annotations_cover_every_attribute(cls, live_machines):
+    # What the codec carries (the annotations) plus what the constructor
+    # rebuilds (its parameters) must account for every attribute a
+    # machine holds mid-stream; anything else would be lost on resume.
+    assert live_machines[cls], f"no {cls.__name__} was live at any sample"
+    declared = set(typing.get_type_hints(cls)) | set(
+        inspect.signature(cls.__init__).parameters
+    )
+    for attrs in live_machines[cls]:
+        assert attrs <= declared, sorted(attrs - declared)
+
+
+@pytest.mark.parametrize("cls", MACHINES, ids=lambda cls: cls.__name__)
+def test_state_annotations_resolve_on_every_supported_python(cls):
+    # The codec evaluates these at run time; PEP 604 unions (X | None)
+    # do not evaluate before Python 3.10, so state uses Optional[...].
+    assert cls.__annotations__
+    for name, annotation in cls.__annotations__.items():
+        assert "|" not in annotation, (cls.__name__, name, annotation)
+    typing.get_type_hints(cls, include_extras=True)
 
 
 class TestStreamOptions:
