@@ -5,7 +5,7 @@ pre-commit loop (``repro lint --changed``) and the CI job stay fast as
 the rule set and the tree grow.  Three configurations over the same
 files, all in one process:
 
-* **no cache** — the baseline: every rule runs, project-wide rules
+* **no cache** — the reference: every rule runs, project-wide rules
   included;
 * **cold cache** — the same work, populating the on-disk result cache
   as it goes;
@@ -85,7 +85,7 @@ def build_table(files, cache_dir) -> str:
         ]
 
     rows = [
-        row("no cache", sequential, "baseline"),
+        row("no cache", sequential, "reference"),
         row("cold cache", cold, "all misses"),
         row("warm cache", warm, "steady state: only project-wide rules run"),
         [

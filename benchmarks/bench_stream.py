@@ -18,6 +18,10 @@ engine on a two-month campaign.  Three questions:
   resumable state (last frontier + whole segment) stays under the raw
   inputs it lets you discard.  Measured through ``save_checkpoint``
   into a temporary directory.
+
+One run of each pipeline does not repeat on a shared host, so batch and
+stream run alternately ``REPEATS`` times; each timed row records the
+median, with the min–max in its note.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from repro.stream.checkpoint import segment_path
 BENCH_DAYS = float(os.environ.get("REPRO_BENCH_DAYS", "60"))
 #: Events between checkpoint saves.
 CHECKPOINT_EVERY = 2500
+#: Alternating batch/stream repetitions behind each timed row.
+REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -92,32 +98,58 @@ def _run_stream(dataset):
     return result, elapsed, peak, saves
 
 
-def build_table(dataset) -> str:
-    batch_start = time.perf_counter()
-    batch = run_analysis(dataset)
-    batch_elapsed = time.perf_counter() - batch_start
+def measure(dataset):
+    """``REPEATS`` alternating (batch seconds, stream run) pairs; every
+    stream run must reproduce the batch results."""
+    pairs = []
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        batch = run_analysis(dataset)
+        batch_elapsed = time.perf_counter() - started
+        run = _run_stream(dataset)
+        result = run[0]
+        assert result.syslog_failures == batch.syslog_failures
+        assert result.isis_failures == batch.isis_failures
+        assert result.failure_match.pairs == batch.failure_match.pairs
+        pairs.append((batch_elapsed, run))
+    return pairs
 
-    result, stream_elapsed, peak, saves = _run_stream(dataset)
+
+def _spread(values, fmt: str) -> str:
+    return f"{min(values):{fmt}}–{max(values):{fmt}}"
+
+
+def build_table(dataset, pairs) -> str:
+    batch_times = [batch for batch, _ in pairs]
+    stream_times = [run[1] for _, run in pairs]
+    result, _elapsed, peak, saves = pairs[0][1]
     events = result.counters["events"]
     input_bytes = _dataset_bytes(dataset)
-    pauses = [pause for _, _, pause in saves]
-
-    assert result.syslog_failures == batch.syslog_failures
-    assert result.isis_failures == batch.isis_failures
-    assert result.failure_match.pairs == batch.failure_match.pairs
+    stream_rates = [events / elapsed for elapsed in stream_times]
+    batch_rates = [events / elapsed for elapsed in batch_times]
+    pause_medians = [
+        statistics.median(pause for _, _, pause in run[3]) * 1e3
+        for _, run in pairs
+    ]
+    pause_maxima = [
+        max(pause for _, _, pause in run[3]) * 1e3 for _, run in pairs
+    ]
+    runs = f"{REPEATS} runs"
 
     rows = [
         ["Campaign days", f"{BENCH_DAYS:g}", ""],
         ["Events streamed", f"{events:,}", ""],
         [
             "Throughput",
-            f"{events / stream_elapsed:,.0f} events/s",
-            f"{stream_elapsed:.2f}s total",
+            f"{statistics.median(stream_rates):,.0f} events/s",
+            f"{_spread(stream_rates, ',.0f')} over {runs}; "
+            f"{statistics.median(stream_times):.2f}s total",
         ],
         [
             "Batch pipeline",
-            f"{events / batch_elapsed:,.0f} events/s equiv",
-            f"{batch_elapsed:.2f}s total",
+            f"{statistics.median(batch_rates):,.0f} events/s equiv",
+            f"{_spread(batch_rates, ',.0f')} over {runs}; "
+            f"{statistics.median(batch_times):.2f}s total",
         ],
         [
             "Raw inputs (batch working set)",
@@ -142,7 +174,9 @@ def build_table(dataset) -> str:
         ],
         [
             "Checkpoint pause (median / max)",
-            f"{statistics.median(pauses) * 1e3:,.1f} / {max(pauses) * 1e3:,.1f} ms",
+            f"{statistics.median(pause_medians):,.1f} / "
+            f"{statistics.median(pause_maxima):,.1f} ms",
+            f"max {_spread(pause_maxima, ',.1f')} ms over {runs}; "
             "save_checkpoint incl. both fsyncs",
         ],
         [
@@ -159,15 +193,15 @@ def build_table(dataset) -> str:
 
 
 def test_stream_throughput(benchmark, campaign):
-    table = benchmark.pedantic(build_table, args=(campaign,), rounds=1, iterations=1)
-    emit("stream", table)
+    pairs = benchmark.pedantic(measure, args=(campaign,), rounds=1, iterations=1)
+    emit("stream", build_table(campaign, pairs))
 
-    result, _elapsed, peak, saves = _run_stream(campaign)
-    # The undecided working set is bounded by topology and windows — it
-    # must not scale with campaign length the way the inputs do.
-    assert peak["working_set"] < 10_000
-    # The resumable state (frontier + whole segment) stays under the
-    # inputs it lets you discard.
-    assert saves
-    assert peak["resumable_bytes"] < _dataset_bytes(campaign)
-    assert result.counters["events"] > 0
+    for _batch, (result, _elapsed, peak, saves) in pairs:
+        # The undecided working set is bounded by topology and windows —
+        # it must not scale with campaign length the way the inputs do.
+        assert peak["working_set"] < 10_000
+        # The resumable state (frontier + whole segment) stays under the
+        # inputs it lets you discard.
+        assert saves
+        assert peak["resumable_bytes"] < _dataset_bytes(campaign)
+        assert result.counters["events"] > 0

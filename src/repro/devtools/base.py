@@ -32,9 +32,6 @@ OUTPUT_PACKAGES = (
     "core", "stream", "simulation", "fleet", "columnar", "service",
 )
 
-#: Layers that manipulate event time; the event-time rules are scoped here.
-EVENT_TIME_PACKAGES = ("intervals", "core", "stream")
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -82,7 +79,7 @@ class SourceModule:
         self.suppressions: FileSuppressions = parse_suppressions(self.lines)
 
     def snippet(self, line: int) -> str:
-        """The stripped source text of a 1-based line (for baselines)."""
+        """The stripped source text of a 1-based line (for reports)."""
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
         return ""

@@ -10,9 +10,8 @@ entries), and the file text.  Any edit, rename, rule change, scope
 change, or selection change misses naturally; nothing is ever
 invalidated in place.
 
-Entries are small JSON files (the *raw* findings, before suppression
-and baseline handling — both of those depend on driver flags and are
-applied by the driver every run).  Writes are atomic
+Entries are small JSON files (the *raw* findings, before the driver
+applies suppression comments, which it does every run).  Writes are atomic
 (temp file + ``os.replace``) so a killed lint run never leaves a
 corrupt entry; unreadable entries are treated as misses.  Project-wide
 rules (mutability, R001) are never cached — their findings depend on

@@ -4,7 +4,8 @@ Three layers, each usable on its own:
 
 * :mod:`repro.devtools.flow.cfg` — per-scope control-flow graphs;
 * :mod:`repro.devtools.flow.dataflow` — a forward worklist solver over
-  small tag lattices (the F/U rule families plug in evaluators);
+  small tag lattices (D004/D005 and the H and B rules plug in
+  evaluators);
 * :mod:`repro.devtools.flow.callgraph` — a project-wide call graph for
   the interprocedural R rules.
 

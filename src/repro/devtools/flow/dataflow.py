@@ -2,7 +2,7 @@
 
 The flow rules all need the same question answered: *what kind of value
 can this local name hold at this program point?* — where "kind" is a
-small set of tags (``{"set"}``, ``{"datetime"}``, …) and the interesting
+small set of tags (``{"set"}``, ``{"sampled"}``, …) and the interesting
 part is how values flow through chains of local assignments, tuple
 unpacking, conditionals, and loops.
 
@@ -11,9 +11,9 @@ local name to a **frozenset of tags**; joining two environments unions
 the tag sets name by name (a may-analysis — if a name *can* hold a set
 on some path, iterating it is already a reproducibility hazard).  An
 absent name / empty set means "nothing known".  Reassignment rebinds
-(kills) a name on that path, which is exactly the flow-sensitivity the
-syntactic D/T rules lack: ``s = set(x); s = sorted(s)`` leaves ``s``
-with no set tag, while ``t = s`` one line earlier propagates it.
+(kills) a name on that path, which is the flow-sensitivity a syntactic
+match lacks: ``s = set(x); s = sorted(s)`` leaves ``s`` with no set
+tag, while ``t = s`` one line earlier propagates it.
 
 :class:`TagEvaluator` turns expressions into tag sets and is the only
 piece a rule family customises; :class:`ForwardDataflow` runs the
@@ -139,11 +139,6 @@ class TagEvaluator:
             )
         if isinstance(node, ast.Call):
             return self.call(node, env)
-        if isinstance(node, ast.Constant):
-            return self.constant(node)
-        return EMPTY
-
-    def constant(self, node: ast.Constant) -> Tags:
         return EMPTY
 
 

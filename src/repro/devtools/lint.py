@@ -1,9 +1,9 @@
 """``repro lint`` / ``python -m repro.devtools.lint`` — the driver.
 
 Collects Python files, runs every registered rule, applies suppression
-comments and the committed baseline, and reports the remainder in human
-or ``--format json`` form.  Exit status: 0 clean, 1 findings, 2 usage or
-configuration error — CI treats any non-zero as a failed build.
+comments, and reports the remainder in human or ``--format json`` form.
+Exit status: 0 clean, 1 findings, 2 usage or configuration error — CI
+treats any non-zero as a failed build.
 
 Per-module rules run file by file and their results are cached on
 disk keyed by *(file bytes, rule set)* (:mod:`repro.devtools.cache`);
@@ -19,7 +19,6 @@ Configuration lives in ``[tool.reprolint]`` in ``pyproject.toml``::
     [tool.reprolint]
     paths = ["src"]
     exclude = ["tests/fixtures"]
-    baseline = "reprolint-baseline.json"
     cache_dir = ".reprolint-cache"
 """
 
@@ -42,12 +41,6 @@ from repro.devtools.base import (
     Rule,
     SourceModule,
 )
-from repro.devtools.baseline import (
-    BaselineError,
-    load_baseline,
-    save_baseline,
-    split_baselined,
-)
 from repro.devtools.cache import LintCache
 
 #: Directory names never descended into during file collection.
@@ -60,7 +53,6 @@ class LintConfig:
 
     paths: List[str] = field(default_factory=lambda: ["src"])
     exclude: List[str] = field(default_factory=lambda: ["tests/fixtures"])
-    baseline: Optional[str] = None
     cache_dir: str = ".reprolint-cache"
     root: str = "."
 
@@ -99,8 +91,6 @@ def load_config(start: str = ".") -> LintConfig:
         config.paths = [str(p) for p in section["paths"]]
     if isinstance(section.get("exclude"), list):
         config.exclude = [str(p) for p in section["exclude"]]
-    if isinstance(section.get("baseline"), str):
-        config.baseline = section["baseline"]
     if isinstance(section.get("cache_dir"), str):
         config.cache_dir = section["cache_dir"]
     return config
@@ -201,21 +191,32 @@ def check_module_local(
                 timings[rule_id] = timings.get(rule_id, 0.0) + (
                     time.perf_counter() - started
                 )
-    # Suppressions without a justification are findings themselves.
-    for suppression in module.suppressions.missing_reasons():
-        findings.append(
-            Finding(
-                rule="S001",
-                path=module.path,
-                line=suppression.line,
-                column=0,
-                message=(
-                    "suppression without a reason; append "
-                    "`-- <why this is safe>`"
-                ),
-                snippet=module.snippet(suppression.line),
+    # Suppressions without a justification, or naming a rule that does
+    # not exist, are findings themselves.
+    known = {*REGISTRY, "S001", "X001", "all"}
+    for suppression in module.suppressions.suppressions:
+        problems = []
+        if not suppression.reason:
+            problems.append(
+                "suppression without a reason; append `-- <why this is safe>`"
             )
-        )
+        unknown = [rule for rule in suppression.rules if rule not in known]
+        if unknown:
+            problems.append(
+                f"suppression names unknown rule id "
+                f"{', '.join(unknown)}; it silences nothing"
+            )
+        for message in problems:
+            findings.append(
+                Finding(
+                    rule="S001",
+                    path=module.path,
+                    line=suppression.line,
+                    column=0,
+                    message=message,
+                    snippet=module.snippet(suppression.line),
+                )
+            )
     return findings
 
 
@@ -352,7 +353,6 @@ def lint_paths(
 # ------------------------------------------------------------------ output
 def render_human(
     active: Sequence[Finding],
-    baselined: Sequence[Finding],
     suppressed: Sequence[Finding],
     files_checked: int,
 ) -> str:
@@ -362,7 +362,7 @@ def render_human(
     ]
     summary = (
         f"{len(active)} finding{'s' if len(active) != 1 else ''} "
-        f"({len(baselined)} baselined, {len(suppressed)} suppressed) "
+        f"({len(suppressed)} suppressed) "
         f"in {files_checked} file{'s' if files_checked != 1 else ''}"
     )
     lines.append(summary)
@@ -371,7 +371,6 @@ def render_human(
 
 def render_json(
     active: Sequence[Finding],
-    baselined: Sequence[Finding],
     suppressed: Sequence[Finding],
     files_checked: int,
 ) -> str:
@@ -380,7 +379,6 @@ def render_json(
             "version": 1,
             "files_checked": files_checked,
             "findings": [f.to_json() for f in active],
-            "baselined": [f.to_json() for f in baselined],
             "suppressed": [f.to_json() for f in suppressed],
         },
         indent=2,
@@ -411,7 +409,7 @@ def render_rules() -> str:
     lines.append(
         "S001  suppression-reason  [everywhere]\n"
         "      Every `# reprolint: disable=...` must justify itself with "
-        "`-- <reason>`."
+        "`-- <reason>` and name only rule ids that exist."
     )
     lines.append(
         "X001  syntax-error  [everywhere]\n"
@@ -433,20 +431,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["human", "json"],
         default="human",
         help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--baseline",
-        help="baseline file (default: [tool.reprolint] baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any configured baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -510,16 +494,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"unknown rule id: {', '.join(unknown)}", file=sys.stderr)
             return 2
 
-    baseline_path = args.baseline
-    if baseline_path is None and config.baseline is not None:
-        baseline_path = (
-            config.baseline
-            if os.path.isabs(config.baseline)
-            else os.path.join(config.root, config.baseline)
-        )
-    if args.no_baseline:
-        baseline_path = None
-
     files = collect_files(paths, exclude)
     project = load_project(files)
 
@@ -556,30 +530,10 @@ def run(args: argparse.Namespace) -> int:
     )
     lint_seconds = time.perf_counter() - lint_started
 
-    if args.update_baseline:
-        if baseline_path is None:
-            print("--update-baseline requires a baseline path", file=sys.stderr)
-            return 2
-        save_baseline(baseline_path, active)
-        print(
-            f"baseline written: {len(active)} finding(s) -> {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baselined: List[Finding] = []
-    if baseline_path is not None and os.path.exists(baseline_path):
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        active, baselined = split_baselined(active, baseline)
-
     files_checked = len(targets) if targets is not None else len(files)
     if args.format == "json":
         document = json.loads(
-            render_json(active, baselined, suppressed, files_checked)
+            render_json(active, suppressed, files_checked)
         )
         if stats is not None:
             document["stats"] = {
@@ -588,7 +542,7 @@ def run(args: argparse.Namespace) -> int:
             }
         print(json.dumps(document, indent=2))
     else:
-        print(render_human(active, baselined, suppressed, files_checked))
+        print(render_human(active, suppressed, files_checked))
         if stats is not None:
             print(render_stats(stats, lint_seconds))
     return 1 if active else 0

@@ -5,14 +5,20 @@ same traces must yield the same Table 2/3 numbers on every run.  These
 rules ban the constructs that break that silently — wall-clock reads,
 shared/unseeded randomness, and iteration orders the interpreter does
 not pin down.  They are scoped to the output-producing packages
-(``core``, ``stream``, ``simulation``); files outside the ``repro``
-package are always checked so fixtures can exercise them.
+(``OUTPUT_PACKAGES``); files outside the ``repro`` package are always
+checked so fixtures can exercise them.
+
+D004/D005 track the unordered *value* rather than its spelling: they run
+the :mod:`repro.devtools.flow` dataflow solver with a tiny lattice
+(``{"set"}``/``{"dictview"}`` tags), so ``for x in set(...)`` and the
+same set reached through a rebind, a tuple unpacking, a conditional or
+an alias chain are one hazard with one finding.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, List, Tuple
 
 from repro.devtools.base import (
     OUTPUT_PACKAGES,
@@ -23,6 +29,15 @@ from repro.devtools.base import (
     SourceModule,
     call_name,
     register,
+)
+from repro.devtools.flow.cfg import iter_scopes, owned_expressions
+from repro.devtools.flow.dataflow import (
+    EMPTY,
+    Env,
+    ForwardDataflow,
+    TagEvaluator,
+    Tags,
+    analyze_scope,
 )
 
 #: Canonical callables that read the wall clock or process timers.
@@ -66,10 +81,6 @@ ENTROPY_CALLS = {
     "uuid.uuid4",
     "random.SystemRandom",
 }
-
-
-def _last_attr(dotted: str) -> str:
-    return dotted.rsplit(".", 1)[-1]
 
 
 def _is_datetime_wallclock(dotted: str) -> bool:
@@ -183,24 +194,148 @@ class EntropyRule(Rule):
                 )
 
 
-class _SetishScope:
-    """Names bound to set-valued expressions within one scope."""
+SET = frozenset({"set"})
+DICTVIEW = frozenset({"dictview"})
 
-    def __init__(self) -> None:
-        self.names: Set[str] = set()
+#: Set methods whose result is again a set.
+_SET_PRODUCING_METHODS = {
+    "union",
+    "intersection",
+    "difference",
+    "symmetric_difference",
+    "copy",
+}
+
+#: Calls that launder a set into a defined order (the sanctioned fixes).
+_ORDERING_CALLS = {"sorted", "len", "sum", "min", "max", "any", "all"}
 
 
-def _annotation_is_set(annotation: ast.AST) -> bool:
-    dotted = None
-    if isinstance(annotation, ast.Subscript):
-        annotation = annotation.value
-    if isinstance(annotation, (ast.Name, ast.Attribute)):
-        from repro.devtools.base import dotted_name
+class SetFlowEvaluator(TagEvaluator):
+    """Tags values that are sets or dict views, through local flow."""
 
-        dotted = dotted_name(annotation)
-    if dotted is None:
-        return False
-    return _last_attr(dotted).lower() in ("set", "frozenset", "abstractset", "mutableset")
+    def __init__(self, imports: ImportMap, module_env: Env) -> None:
+        super().__init__(imports)
+        self.module_env = module_env
+
+    def name_constant(self, dotted: str) -> Tags:
+        return self.module_env.get(dotted, EMPTY)
+
+    def evaluate(self, node: ast.AST, env: Env) -> Tags:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return SET
+        return super().evaluate(node, env)
+
+    def call(self, node: ast.Call, env: Env) -> Tags:
+        dotted = call_name(node, self.imports)
+        if dotted in ("set", "frozenset"):
+            return SET
+        if dotted in _ORDERING_CALLS or dotted in ("list", "tuple"):
+            # The result is ordered (or scalar); the set taint ends here.
+            return EMPTY
+        if isinstance(node.func, ast.Attribute):
+            receiver = self.evaluate(node.func.value, env)
+            attr = node.func.attr
+            if (
+                attr in ("keys", "values", "items")
+                and not node.args
+                and not node.keywords
+            ):
+                return DICTVIEW
+            if attr in _SET_PRODUCING_METHODS and "set" in receiver:
+                return SET
+        return EMPTY
+
+    def binop(self, node: ast.BinOp, left: Tags, right: Tags) -> Tags:
+        if isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
+            if "set" in left or "set" in right:
+                return SET
+        return EMPTY
+
+    def annotation(self, node) -> Tags:
+        if node is None:
+            return EMPTY
+        for child in ast.walk(node):
+            name = None
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.Constant) and isinstance(
+                child.value, str
+            ):
+                name = child.value.rsplit(".", 1)[-1].split("[", 1)[0]
+            if name and name.lower() in (
+                "set",
+                "frozenset",
+                "abstractset",
+                "mutableset",
+            ):
+                return SET
+        return EMPTY
+
+
+def module_constant_env(module: SourceModule, imports: ImportMap) -> Env:
+    """Tags of module-level straight-line constants, for use as the
+    fallback environment inside function scopes."""
+    assert module.tree is not None
+    solver = ForwardDataflow(SetFlowEvaluator(imports, {}))
+    env: Env = {}
+    for statement in module.tree.body:
+        env = solver.transfer(statement, env)
+    return {name: tags for name, tags in env.items() if tags}
+
+
+def set_flow(
+    module: SourceModule,
+) -> Iterator[Tuple[SetFlowEvaluator, ast.stmt, Env]]:
+    """Every statement of the module with the set/dict-view tags of the
+    locals entering it: the module, class and function bodies, each
+    solved as its own scope."""
+    assert module.tree is not None
+    imports = ImportMap.from_tree(module.tree)
+    module_env = module_constant_env(module, imports)
+    scopes = list(iter_scopes(module.tree))
+    scopes.extend(
+        node for node in ast.walk(module.tree) if isinstance(node, ast.ClassDef)
+    )
+    for scope in scopes:
+        evaluator = SetFlowEvaluator(imports, module_env)
+        cfg, in_envs = analyze_scope(scope, evaluator)
+        for node_id, statement in cfg.nodes():
+            yield evaluator, statement, in_envs.get(node_id, {})
+
+
+def _iteration_sites(
+    statement: ast.stmt,
+) -> List[Tuple[ast.AST, ast.AST]]:
+    """(anchor, iterated expression) pairs consumed in defined order by
+    this statement: for-loops, non-set comprehensions, `list`/`tuple`
+    conversions and `.join`."""
+    sites: List[Tuple[ast.AST, ast.AST]] = []
+    if isinstance(statement, (ast.For, ast.AsyncFor)):
+        sites.append((statement, statement.iter))
+    for expression in owned_expressions(statement):
+        for node in ast.walk(expression):
+            if isinstance(
+                node, (ast.ListComp, ast.DictComp, ast.GeneratorExp)
+            ):
+                # A SetComp over a set stays unordered — no hazard.
+                for generator in node.generators:
+                    sites.append((generator.iter, generator.iter))
+            elif isinstance(node, ast.Call):
+                if (
+                    isinstance(node.func, ast.Name)
+                    and node.func.id in ("list", "tuple")
+                    and len(node.args) == 1
+                ):
+                    sites.append((node, node.args[0]))
+                elif (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "join"
+                    and len(node.args) == 1
+                ):
+                    sites.append((node, node.args[0]))
+    return sites
 
 
 @register
@@ -210,7 +345,9 @@ class SetIterationRule(Rule):
     rationale = (
         "Set iteration order depends on string hash randomisation "
         "(PYTHONHASHSEED); iterating a set into anything ordered makes "
-        "output vary across runs.  Wrap the set in `sorted(...)`."
+        "output vary across runs.  The set value is tracked through "
+        "assignments, tuple unpacking and aliases.  Wrap the set in "
+        "`sorted(...)`."
     )
     scope = OUTPUT_PACKAGES
 
@@ -219,116 +356,16 @@ class SetIterationRule(Rule):
     ) -> Iterator[Finding]:
         if module.tree is None:
             return
-        imports = ImportMap.from_tree(module.tree)
-        # One pass to collect set-typed names per scope (module plus each
-        # function); single-assignment inference is deliberately simple.
-        scopes: Dict[ast.AST, _SetishScope] = {}
-
-        def scope_of(stack: list) -> _SetishScope:
-            owner = stack[-1] if stack else module.tree
-            return scopes.setdefault(owner, _SetishScope())
-
-        def collect(node: ast.AST, stack: list) -> None:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and self._setish(
-                    node.value, imports, scope_of(stack)
-                ):
-                    scope_of(stack).names.add(target.id)
-            elif isinstance(node, ast.AnnAssign):
-                if isinstance(node.target, ast.Name) and _annotation_is_set(
-                    node.annotation
-                ):
-                    scope_of(stack).names.add(node.target.id)
-            elif isinstance(node, ast.arg):
-                if node.annotation is not None and _annotation_is_set(
-                    node.annotation
-                ):
-                    scope_of(stack).names.add(node.arg)
-            is_scope = isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            )
-            if is_scope:
-                stack = stack + [node]
-            for child in ast.iter_child_nodes(node):
-                collect(child, stack)
-
-        collect(module.tree, [])
-
-        def check_iter(
-            iter_node: ast.AST, anchor: ast.AST, stack: list
-        ) -> Optional[Finding]:
-            scope = scope_of(stack)
-            module_scope = scopes.get(module.tree, _SetishScope())
-            merged = _SetishScope()
-            merged.names = scope.names | module_scope.names
-            if self._setish(iter_node, imports, merged):
-                return module.finding(
-                    self.id,
-                    anchor,
-                    "iteration over a set has no defined order; wrap the "
-                    "set in `sorted(...)` before iterating",
-                )
-            return None
-
-        def walk(node: ast.AST, stack: list) -> Iterator[Finding]:
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                found = check_iter(node.iter, node, stack)
-                if found is not None:
-                    yield found
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    # A set comprehension over a set is itself unordered
-                    # output, which is fine; converting to ordered is not.
-                    if isinstance(node, ast.SetComp):
-                        continue
-                    found = check_iter(gen.iter, gen.iter, stack)
-                    if found is not None:
-                        yield found
-            elif isinstance(node, ast.Call):
-                dotted = call_name(node, imports)
-                if dotted in ("list", "tuple") and len(node.args) == 1:
-                    found = check_iter(node.args[0], node, stack)
-                    if found is not None:
-                        yield found
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "join"
-                    and len(node.args) == 1
-                ):
-                    found = check_iter(node.args[0], node, stack)
-                    if found is not None:
-                        yield found
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                stack = stack + [node]
-            for child in ast.iter_child_nodes(node):
-                yield from walk(child, stack)
-
-        yield from walk(module.tree, [])
-
-    def _setish(
-        self, node: ast.AST, imports: ImportMap, scope: _SetishScope
-    ) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in scope.names
-        if isinstance(node, ast.Call):
-            dotted = call_name(node, imports)
-            if dotted in ("set", "frozenset"):
-                return True
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self._setish(node.left, imports, scope) or self._setish(
-                node.right, imports, scope
-            )
-        return False
+        for evaluator, statement, env in set_flow(module):
+            for anchor, iterated in _iteration_sites(statement):
+                if "set" in evaluator.evaluate(iterated, env):
+                    yield module.finding(
+                        self.id,
+                        anchor,
+                        "iteration over a value that flows from a set "
+                        "construction; set order is undefined — wrap the "
+                        "set in `sorted(...)` before iterating",
+                    )
 
 
 def _body_is_order_sensitive(body: list) -> bool:
@@ -358,9 +395,10 @@ class DictOrderRule(Rule):
     id = "D005"
     name = "dict-order"
     rationale = (
-        "Iterating `.values()`/`.items()` relies on insertion order; "
-        "where the loop builds ordered output, sort the items (or "
-        "justify why insertion order is deterministic)."
+        "Iterating `.keys()`/`.values()`/`.items()` relies on insertion "
+        "order; where the loop builds ordered output, sort the items (or "
+        "justify why insertion order is deterministic).  The view is "
+        "tracked through local assignments."
     )
     scope = OUTPUT_PACKAGES
 
@@ -369,24 +407,17 @@ class DictOrderRule(Rule):
     ) -> Iterator[Finding]:
         if module.tree is None:
             return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
+        for evaluator, statement, env in set_flow(module):
+            if not isinstance(statement, (ast.For, ast.AsyncFor)):
                 continue
-            iter_node = node.iter
-            if not (
-                isinstance(iter_node, ast.Call)
-                and isinstance(iter_node.func, ast.Attribute)
-                and iter_node.func.attr in ("values", "items", "keys")
-                and not iter_node.args
-                and not iter_node.keywords
-            ):
+            if "dictview" not in evaluator.evaluate(statement.iter, env):
                 continue
-            if _body_is_order_sensitive(node.body):
+            if _body_is_order_sensitive(statement.body):
                 yield module.finding(
                     self.id,
-                    node,
-                    f"loop over `.{iter_node.func.attr}()` builds ordered "
-                    f"output from dict insertion order; iterate "
-                    f"`sorted(...)` or justify the order with a "
-                    f"suppression",
+                    statement,
+                    "order-sensitive loop over a value that flows from "
+                    "`.keys()`/`.values()`/`.items()`; the output order "
+                    "is dict insertion order — iterate `sorted(...)` or "
+                    "justify with a suppression",
                 )

@@ -11,14 +11,16 @@ Two forms, both requiring a justification after ``--``:
     near the top.
 
 A suppression without a justification is itself reported (rule S001):
-grandfathering a finding must leave a trail the next reader can audit.
+silencing a finding must leave a trail the next reader can audit.  So
+is one naming a rule id that does not exist (a typo, or a rule since
+deleted), because it silences nothing while looking like it does.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 SUPPRESSION_RE = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"
@@ -50,21 +52,6 @@ class FileSuppressions:
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         return any(s.covers(rule_id, line) for s in self.suppressions)
-
-    def missing_reasons(self) -> List[Suppression]:
-        return [s for s in self.suppressions if not s.reason]
-
-    def used_rule_ids(self) -> Set[str]:
-        used: Set[str] = set()
-        for suppression in self.suppressions:
-            used.update(suppression.rules)
-        return used
-
-    def by_line(self) -> Dict[int, List[Suppression]]:
-        index: Dict[int, List[Suppression]] = {}
-        for suppression in self.suppressions:
-            index.setdefault(suppression.line, []).append(suppression)
-        return index
 
 
 def parse_suppressions(lines: Sequence[str]) -> FileSuppressions:

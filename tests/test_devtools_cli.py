@@ -1,9 +1,9 @@
 """End-to-end tests for the ``repro lint`` command-line driver.
 
 Covers the acceptance surface: each committed fixture file exits
-non-zero with the right rule id, ``--format json`` is parseable, the
-baseline workflow grandfathers findings without hiding new ones, and
-usage errors exit 2.
+non-zero with the right rule id, every registered rule has such a
+fixture, ``--format json`` is parseable, and usage errors (deleted
+flags and rule ids among them) exit 2.
 """
 
 import json
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools.base import REGISTRY
 from repro.devtools.lint import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -25,10 +26,8 @@ EXPECTED_RULES = {
     "bad_dict_order.py": {"D005"},
     "bad_mutable_default.py": {"M001"},
     "bad_shared_default.py": {"M002"},
-    "bad_event_time.py": {"T001", "T002"},
-    "bad_naive_aware.py": {"T003"},
-    "bad_flow_set.py": {"F001", "F002"},
-    "bad_flow_time.py": {"U001", "U002"},
+    "bad_flow_set.py": {"D004", "D005"},
+    "bad_swallow.py": {"E001", "E002"},
     "bad_contract.py": {"R001", "R002"},
     "bad_horizon_clip.py": {"H201", "H202", "H203"},
     "bad_columnar_barrier.py": {"B301", "B302"},
@@ -37,7 +36,7 @@ EXPECTED_RULES = {
 
 
 def lint_json(capsys, *argv):
-    code = main([*argv, "--format", "json", "--no-baseline"])
+    code = main([*argv, "--format", "json"])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -47,6 +46,11 @@ def test_fixture_trips_expected_rules(capsys, fixture):
     assert code == 1
     found = {f["rule"] for f in report["findings"]}
     assert EXPECTED_RULES[fixture] <= found
+
+
+def test_every_rule_has_a_tripping_fixture():
+    covered = set().union(*EXPECTED_RULES.values())
+    assert set(REGISTRY) - {"S001", "X001"} <= covered
 
 
 def test_shipped_tree_is_clean(capsys):
@@ -115,7 +119,6 @@ def test_stats_reports_per_rule_timings(capsys):
             str(FIXTURES / "bad_wallclock.py"),
             "--format",
             "json",
-            "--no-baseline",
             "--no-cache",
             "--stats",
         ]
@@ -130,7 +133,6 @@ def test_stats_reports_per_rule_timings(capsys):
     code = main(
         [
             str(FIXTURES / "bad_wallclock.py"),
-            "--no-baseline",
             "--no-cache",
             "--stats",
         ]
@@ -299,6 +301,28 @@ def test_unknown_rule_id_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "rule_id", ["T001", "T002", "T003", "U001", "U002", "F001", "F002"]
+)
+def test_deleted_rule_id_is_usage_error(capsys, rule_id):
+    # The datetime-axis rules could never fire on the float-seconds time
+    # axis, and the set/dict-view flow analysis reports under D004/D005.
+    code = main([str(FIXTURES / "bad_wallclock.py"), "--select", rule_id])
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--no-baseline"], ["--update-baseline"], ["--baseline", "b.json"]],
+    ids=["no-baseline", "update-baseline", "baseline"],
+)
+def test_baseline_flags_are_gone(capsys, argv):
+    """Suppressions with a reason are the one escape hatch."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(FIXTURES / "bad_wallclock.py"), *argv])
+    assert excinfo.value.code == 2
+
+
 def test_missing_path_is_usage_error(capsys):
     code = main([str(FIXTURES / "no_such_file.py")])
     assert code == 2
@@ -319,8 +343,8 @@ def test_list_rules_catalogue(capsys):
         "D001", "D002", "D003", "D004", "D005",
         "M001", "M002",
         "E001", "E002",
-        "T001", "T002", "T003", "S001", "X001",
-        "F001", "F002", "U001", "U002", "R001", "R002",
+        "S001", "X001",
+        "R001", "R002",
         "H201", "H202", "H203",
         "B301", "B302",
         "A501", "A502", "A503",
@@ -354,54 +378,6 @@ def test_list_rules_has_no_codec_family(capsys):
     }
     assert "D001" in listed
     assert not any(rule_id.startswith("C") for rule_id in listed)
-
-
-def test_baseline_grandfathers_old_but_not_new(tmp_path, capsys, monkeypatch):
-    # A fresh project directory with its own pyproject + a violation.
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.reprolint]\n"
-        'paths = ["pkg"]\n'
-        'baseline = "baseline.json"\n',
-        encoding="utf-8",
-    )
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    bad = pkg / "legacy.py"
-    bad.write_text("import time\nstamp = time.time()\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-
-    # Violation is live before the baseline exists...
-    assert main([]) == 1
-    capsys.readouterr()
-
-    # ...and --update-baseline grandfathers it.
-    assert main(["--update-baseline"]) == 0
-    capsys.readouterr()
-
-    # Baselined finding no longer fails the run, but stays visible.
-    code = main(["--format", "json"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert report["findings"] == []
-    assert [f["rule"] for f in report["baselined"]] == ["D001"]
-
-    # The baseline survives a line shift (matched by snippet, not line).
-    bad.write_text(
-        "import time\n\n\nstamp = time.time()\n", encoding="utf-8"
-    )
-    assert main([]) == 0
-    capsys.readouterr()
-
-    # A new violation still fails even with the baseline in place.
-    bad.write_text(
-        "import time\nstamp = time.time()\nagain = time.time()\n",
-        encoding="utf-8",
-    )
-    code = main(["--format", "json"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert len(report["findings"]) == 1
-    assert len(report["baselined"]) == 1
 
 
 def test_repo_cli_exposes_lint_subcommand(capsys):

@@ -23,7 +23,7 @@ from repro.devtools.lint import (
     load_project,
     main,
 )
-from repro.devtools.rules.flowrules import SetFlowEvaluator
+from repro.devtools.rules.determinism import SetFlowEvaluator
 
 
 def function_scope(source: str, name: str = "f") -> ast.FunctionDef:
@@ -292,21 +292,20 @@ class TestCallGraph:
         assert get_callgraph(project) is get_callgraph(project)
 
 
-# ------------------------------------------------------- F/U rule corners
+# ------------------------------------------------ D004/D005 flow corners
 class TestFlowRuleCorners:
-    def test_f001_does_not_duplicate_d004_territory(self):
+    def test_d004_reports_a_spelled_out_set_once(self):
         source = """
             def f(links):
                 for link in set(links):
                     print(link)
             """
-        assert run_rule("D004", source)
-        assert run_rule("F001", source) == []
+        assert len(run_rule("D004", source)) == 1
 
-    def test_f001_sorted_kills_the_taint(self):
+    def test_d004_sorted_kills_the_taint(self):
         assert (
             run_rule(
-                "F001",
+                "D004",
                 """
                 def f(links):
                     pool, n = set(links), 0
@@ -318,21 +317,21 @@ class TestFlowRuleCorners:
             == []
         )
 
-    def test_f001_set_op_binop_is_tracked(self):
+    def test_d004_set_op_binop_is_tracked(self):
         hits = run_rule(
-            "F001",
+            "D004",
             """
             def f(a, b):
                 merged, n = set(a) | set(b), 0
                 return ",".join(merged)
             """,
         )
-        assert [f.rule for f in hits] == ["F001"]
+        assert [f.rule for f in hits] == ["D004"]
 
-    def test_f002_requires_order_sensitive_body(self):
+    def test_d005_requires_order_sensitive_body(self):
         assert (
             run_rule(
-                "F002",
+                "D005",
                 """
                 def f(d):
                     view = d.items()
@@ -344,46 +343,6 @@ class TestFlowRuleCorners:
             )
             == []
         )
-
-    def test_u001_ambiguous_axis_is_not_reported(self):
-        # `x` may be a datetime or a float after the join: staying
-        # silent is the documented trade (zero false positives).
-        assert (
-            run_rule(
-                "U001",
-                """
-                import datetime
-                def f(flag, seconds: float):
-                    if flag:
-                        x = datetime.datetime(2010, 1, 1)
-                    else:
-                        x = 5.0
-                    return x + seconds
-                """,
-            )
-            == []
-        )
-
-    def test_u001_timedelta_plus_float_is_reported(self):
-        hits = run_rule(
-            "U001",
-            """
-            import datetime
-            def f(seconds: float):
-                span = datetime.timedelta(hours=1)
-                return span + seconds
-            """,
-        )
-        assert [f.rule for f in hits] == ["U001"]
-
-    def test_u_rules_stay_quiet_on_float_axis_code(self):
-        source = """
-            def f(start: float, end: float):
-                span = end - start
-                return span > 3600.0
-            """
-        assert run_rule("U001", source) == []
-        assert run_rule("U002", source) == []
 
 
 # -------------------------------------------------------- R rule corners
@@ -588,7 +547,7 @@ class TestChanged:
         )
         monkeypatch.chdir(git_tree)
         # Nothing differs from HEAD (pyproject is untracked but not .py):
-        code = main(["--changed", "--format", "json", "--no-baseline"])
+        code = main(["--changed", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["files_checked"] == 0
@@ -598,7 +557,7 @@ class TestChanged:
             "import time\nSTAMP = time.time()\nAGAIN = time.time()\n",
             encoding="utf-8",
         )
-        code = main(["--changed", "--format", "json", "--no-baseline"])
+        code = main(["--changed", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["files_checked"] == 1

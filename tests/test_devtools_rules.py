@@ -124,6 +124,79 @@ def test_d005_quiet_on_order_insensitive_body():
     assert run_rule("D005", source) == []
 
 
+def test_d005_flags_keys_loop_that_yields():
+    source = (
+        "def f(by_link):\n"
+        "    for link in by_link.keys():\n"
+        "        yield link\n"
+    )
+    assert len(run_rule("D005", source)) == 1
+
+
+# ------------------------------------------------ D004/D005 value tracking
+def test_d004_flags_set_iteration_in_class_body():
+    source = (
+        "class Catalogue:\n"
+        "    NAMES = [name for name in {'lax', 'sac'}]\n"
+    )
+    assert len(run_rule("D004", source)) == 1
+
+
+def test_d005_flags_view_loop_in_class_body():
+    source = (
+        "TABLE = {'a': 1}\n"
+        "class Rows:\n"
+        "    OUT = []\n"
+        "    for key in TABLE.keys():\n"
+        "        OUT.append(key)\n"
+    )
+    assert len(run_rule("D005", source)) == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "    return ','.join(set(names))\n",
+        "    return list(set(names))\n",
+        "    return tuple(set(names).union(extra))\n",
+        "    pool = set(names)\n    return [n for n in pool]\n",
+    ],
+    ids=["join", "list", "set-method", "comprehension"],
+)
+def test_d004_flags_ordered_consumption_of_a_set(body):
+    source = "def f(names, extra):\n" + body
+    assert len(run_rule("D004", source)) == 1
+
+
+def test_d004_tracks_annotated_parameters_and_module_constants():
+    source = (
+        "from typing import Set\n"
+        "SITES = {'lax', 'sac'}\n"
+        "def f(links: Set[str]):\n"
+        "    return [link for link in links] + list(SITES)\n"
+    )
+    assert len(run_rule("D004", source)) == 2
+
+
+def test_d004_quiet_on_set_comprehension_over_a_set():
+    source = "def f(names):\n    return {n.upper() for n in set(names)}\n"
+    assert run_rule("D004", source) == []
+
+
+def test_d004_reports_each_site_once():
+    source = (
+        "def f(a, b):\n"
+        "    pool = set(a)\n"
+        "    for site in pool | set(b):\n"
+        "        print(site)\n"
+        "    return [x for x in [y for y in pool]]\n"
+    )
+    findings = run_rule("D004", source)
+    anchors = [(f.line, f.column) for f in findings]
+    assert len(anchors) == 2
+    assert len(set(anchors)) == len(anchors)
+
+
 # --------------------------------------------------------------- M001
 def test_m001_flags_literal_mutable_default():
     source = "def f(rows=[]):\n    return rows\n"
@@ -182,61 +255,6 @@ def test_m002_quiet_on_immutable_singleton():
     assert run_rule("M002", source) == []
 
 
-# --------------------------------------------------------------- T001/T002
-def test_t001_flags_datetime_plus_number():
-    source = (
-        "from datetime import datetime\n"
-        "def deadline(start: datetime):\n"
-        "    return start + 30.0\n"
-    )
-    assert len(run_rule("T001", source)) == 1
-
-
-def test_t001_quiet_on_timedelta():
-    source = (
-        "from datetime import datetime, timedelta\n"
-        "def deadline(start: datetime):\n"
-        "    return start + timedelta(seconds=30)\n"
-    )
-    assert run_rule("T001", source) == []
-
-
-def test_t002_flags_datetime_number_comparison():
-    source = (
-        "from datetime import datetime\n"
-        "def expired(start: datetime, now_seconds: float):\n"
-        "    return start < now_seconds\n"
-    )
-    assert len(run_rule("T002", source)) == 1
-
-
-def test_t002_quiet_on_float_axis():
-    source = (
-        "def expired(start: float, now_seconds: float):\n"
-        "    return start < now_seconds\n"
-    )
-    assert run_rule("T002", source) == []
-
-
-# --------------------------------------------------------------- T003
-def test_t003_flags_naive_aware_mix():
-    source = (
-        "from datetime import datetime, timezone\n"
-        "def skew():\n"
-        "    return datetime.now(timezone.utc) - datetime.utcnow()\n"
-    )
-    assert len(run_rule("T003", source)) == 1
-
-
-def test_t003_quiet_on_consistent_awareness():
-    source = (
-        "from datetime import datetime, timezone\n"
-        "def skew():\n"
-        "    return datetime.now(timezone.utc) - datetime.now(timezone.utc)\n"
-    )
-    assert run_rule("T003", source) == []
-
-
 # ----------------------------------------------------- rule scoping
 def test_determinism_rules_scoped_to_output_packages():
     # Scope is enforced by Rule.applies_to, which the driver consults;
@@ -288,21 +306,6 @@ SUPPRESSED_SOURCES = {
         "def f(buckets=DEFAULTS):  # reprolint: disable=M002 -- treated as read-only\n"
         "    return buckets\n"
     ),
-    "T001": (
-        "from datetime import datetime\n"
-        "def deadline(start: datetime):\n"
-        "    return start + 30.0  # reprolint: disable=T001 -- third-party API takes raw seconds\n"
-    ),
-    "T002": (
-        "from datetime import datetime\n"
-        "def expired(start: datetime, now_seconds: float):\n"
-        "    return start < now_seconds  # reprolint: disable=T002 -- ordinal comparison on purpose\n"
-    ),
-    "T003": (
-        "from datetime import datetime, timezone\n"
-        "def skew():\n"
-        "    return datetime.now(timezone.utc) - datetime.utcnow()  # reprolint: disable=T003,D001 -- measuring the skew is the point\n"
-    ),
 }
 
 
@@ -339,6 +342,54 @@ def test_s001_cannot_be_suppressed():
     )
     active, _ = lint_source(source)
     assert "S001" in [f.rule for f in active]
+
+
+@pytest.mark.parametrize("stale", ["F001", "T002", "D0O5"])
+def test_suppression_naming_unknown_rule_is_s001(stale):
+    # A rule since deleted, or a typo, silences nothing: the finding on
+    # the line stays active and the comment itself is reported.
+    source = (
+        "import time\n"
+        f"stamp = time.time()  # reprolint: disable={stale} -- stale id\n"
+    )
+    active, suppressed = lint_source(source)
+    assert sorted(f.rule for f in active) == ["D001", "S001"]
+    assert suppressed == []
+    (s001,) = [f for f in active if f.rule == "S001"]
+    assert s001.line == 2
+    assert stale in s001.message
+
+
+def test_file_wide_suppression_naming_unknown_rule_is_s001():
+    deleted = "U001"
+    source = (
+        f"# reprolint: disable-file=D001,{deleted} -- one live id, one deleted\n"
+        "import time\n"
+        "stamp = time.time()\n"
+    )
+    active, suppressed = lint_source(source)
+    assert [(f.rule, f.line) for f in active] == [("S001", 1)]
+    assert "U001" in active[0].message and "D001" not in active[0].message
+    assert [f.rule for f in suppressed] == ["D001"]
+
+
+def test_known_ids_and_all_are_not_stale():
+    source = (
+        "import time\n"
+        "a = time.time()  # reprolint: disable=all -- wall time on purpose\n"
+        "b = time.time()  # reprolint: disable=D001,D004 -- wall time on purpose\n"
+    )
+    active, suppressed = lint_source(source)
+    assert active == []
+    assert [f.rule for f in suppressed] == ["D001", "D001"]
+
+
+def test_unknown_rule_without_reason_reports_both_problems():
+    source = "x = 1  # reprolint: disable=T003\n"
+    active, _ = lint_source(source)
+    assert [f.rule for f in active] == ["S001", "S001"]
+    messages = " ".join(f.message for f in active)
+    assert "without a reason" in messages and "T003" in messages
 
 
 def test_file_wide_suppression():
