@@ -124,10 +124,10 @@ def _fault_inject(text: str, seed: int = 13) -> str:
 def _ledgers_identical(text: str) -> bool:
     scalar_report, columnar_report = IngestReport(), IngestReport()
     scalar = SyslogCollector.parse_log(
-        text, strict=False, report=scalar_report
+        text, report=scalar_report
     )
     columnar = parse_log_columnar(
-        text, strict=False, report=columnar_report
+        text, report=columnar_report
     )
     return scalar == columnar and _ledger_json(
         scalar_report

@@ -6,7 +6,7 @@ turns a fleet-scale corpus (see :mod:`repro.fleet`) into minutes of ingest.
 This package batch-parses the log with numpy on the raw byte buffer and
 routes only the lines it cannot *prove* it handles identically back through
 the scalar parser, so the result — entries, running timestamp context,
-drop ledgers, and strict-mode errors — is exactly what the scalar parser
+drop ledgers, and exceptions of a ledger-less parse — is exactly what the scalar parser
 produces, at a fraction of the cost.
 
 The engine is pure numpy; Polars is detected (``available_backends``) but

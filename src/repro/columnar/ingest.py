@@ -6,8 +6,8 @@ The contract
 :meth:`repro.syslog.collector.SyslogCollector.parse_log`: for every
 input — clean, garbage, truncated, non-ASCII — it returns the same
 entries, records the same drops in the same order into the
-``IngestReport``, and raises the same exception from the same line in
-strict mode.
+``IngestReport``, and raises the same exception from the same line when
+it is given no ledger.
 
 The engine earns its speed only on lines it can *prove* the scalar parser
 would accept, and proves it with vectorised byte-level checks:
@@ -24,8 +24,8 @@ would accept, and proves it with vectorised byte-level checks:
 
 Everything else — malformed lines, out-of-range values, control bytes,
 Feb 29, non-ASCII — is handed to the scalar parser *in line order*, with
-the running ``latest`` timestamp threaded through, so drop reasons, strict
-errors, and year-resolution context stay bit-identical.
+the running ``latest`` timestamp threaded through, so drop reasons,
+exceptions, and year-resolution context stay bit-identical.
 
 Year resolution as a fixpoint
 -----------------------------
@@ -116,10 +116,9 @@ _BATCH_LINES = 1 << 17
 class _Walk:
     """Mutable per-parse state threaded through batches and slow lines."""
 
-    __slots__ = ("strict", "report", "latest", "entries")
+    __slots__ = ("report", "latest", "entries")
 
-    def __init__(self, strict: bool, report: Optional[IngestReport]) -> None:
-        self.strict = strict
+    def __init__(self, report: Optional[IngestReport]) -> None:
         self.report = report
         self.latest = 0.0
         self.entries: List[CollectedEntry] = []
@@ -128,19 +127,18 @@ class _Walk:
         """Process one line exactly as the scalar loop body does."""
         if not line.strip():
             return
-        if self.strict:
+        if self.report is None:
             message = parse_syslog_line(line, after=self.latest)
         else:
             message, reason = try_parse_syslog_line(line, after=self.latest)
             if message is None:
-                if self.report is not None:
-                    self.report.record(
-                        CHANNEL_SYSLOG,
-                        reason or "malformed-line",
-                        offset=line_offset,
-                        index=line_number,
-                        sample=line,
-                    )
+                self.report.record(
+                    CHANNEL_SYSLOG,
+                    reason or "malformed-line",
+                    offset=line_offset,
+                    index=line_number,
+                    sample=line,
+                )
                 return
         timestamp = message.timestamp
         if timestamp > self.latest:
@@ -464,19 +462,18 @@ def _parse_mixed(text: str, walk: _Walk) -> None:
 def parse_log_columnar(
     text: str,
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> List[CollectedEntry]:
     """Vectorised twin of ``SyslogCollector.parse_log``.
 
-    Same signature, same results, same ledger records, same strict-mode
-    exceptions — see the module docstring for how the identity is proven
+    Same signature, same results, same ledger records, same exceptions
+    without a ledger — see the module docstring for how the identity is proven
     line by line.  Falls back to the scalar parser wholesale when numpy is
     unavailable.
     """
     if np is None:
-        return SyslogCollector.parse_log(text, strict=strict, report=report)
-    walk = _Walk(strict=strict, report=report)
+        return SyslogCollector.parse_log(text, report=report)
+    walk = _Walk(report)
     # The parse allocates one tracked object per line and they all survive
     # to the end, so the generational collector can only waste time
     # re-walking the growing heap (measured at >2x the whole parse).  Pause

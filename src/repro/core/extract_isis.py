@@ -17,9 +17,10 @@ Link state and failures are derived from **IS reachability** (the paper's
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.ledger import CHANNEL_ISIS, IngestReport
 
@@ -70,35 +71,66 @@ class IsisExtraction:
     rejected_lsps: int = 0
 
 
+def _observed(
+    records: Iterable[Tuple[float, bytes]],
+    listener: IsisListener,
+    report: Optional[IngestReport],
+) -> Iterator[Tuple[float, List[ReachabilityChange]]]:
+    """Feed records to ``listener``; yields ``(time, changes)`` per record
+    it accepted for replay.
+
+    The one damage policy of IS-IS replay, shared by the batch
+    (:func:`replay_lsp_records`) and stream
+    (:func:`repro.stream.sources.isis_events`) paths.  Two artifacts of a
+    damaged archive are dropped: a record whose capture time is earlier
+    than the last replayed record's (``time-regression``; the archive is
+    append-only, so capture order is time order), and a record the
+    listener cannot decode (``lsp-decode``: bit-flipped payloads, checksum
+    mismatches).  Without a ``report`` either one raises ``ValueError``
+    (or the decoder's ``struct.error``); with one it is recorded with its
+    record index and replay continues with the next record.
+    """
+    latest = -math.inf
+    for index, (time, raw) in enumerate(records):
+        if time < latest:
+            if report is None:
+                raise ValueError(
+                    f"LSP archive regressed from {latest} to {time}; "
+                    "the capture is not replayable as a stream"
+                )
+            report.record(
+                CHANNEL_ISIS,
+                "time-regression",
+                index=index,
+                sample=f"{latest} -> {time}",
+            )
+            continue
+        try:
+            changes = listener.observe_bytes(time, raw)
+        except (ValueError, struct.error) as error:
+            if report is None:
+                raise
+            report.record(
+                CHANNEL_ISIS, "lsp-decode", index=index, sample=str(error)
+            )
+            continue
+        latest = time
+        yield time, changes
+
+
 def replay_lsp_records(
     records: Sequence[Tuple[float, bytes]],
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> Tuple[IsisListener, List[ReachabilityChange]]:
     """Feed an archive through a fresh listener; returns it and its changes.
 
-    ``strict=True`` lets decode failures (bit-flipped payloads, checksum
-    mismatches) propagate as before.  ``strict=False`` quarantines the
-    undecodable record into ``report`` — reason, record index, and a
-    sample of the decoder's complaint — and continues with the next one,
-    the same behaviour :func:`repro.stream.sources.isis_events` applies
-    so batch and stream stay equivalent on damaged archives.
+    Damaged records raise without a ``report`` and are quarantined into
+    it with one (see :func:`_observed`).
     """
     listener = IsisListener()
-    for index, (time, raw) in enumerate(records):
-        try:
-            listener.observe_bytes(time, raw)
-        except (ValueError, struct.error) as error:
-            if strict:
-                raise
-            if report is not None:
-                report.record(
-                    CHANNEL_ISIS,
-                    "lsp-decode",
-                    index=index,
-                    sample=str(error),
-                )
+    for _ in _observed(records, listener, report):
+        pass
     return listener, list(listener.changes)
 
 
@@ -187,13 +219,10 @@ def extract_isis(
     horizon_end: float,
     config: Optional[IsisExtractionConfig] = None,
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> IsisExtraction:
     """Run the full IS-IS reconstruction (see module docstring)."""
-    listener, changes = replay_lsp_records(
-        lsp_records, strict=strict, report=report
-    )
+    listener, changes = replay_lsp_records(lsp_records, report=report)
     if config is None:
         config = IsisExtractionConfig()
     result = IsisExtraction()

@@ -79,10 +79,6 @@ class FalsePositiveReport:
         long = self.long()
         return len(self.long_in_flap) / len(long) if long else 0.0
 
-    @property
-    def long_in_flap_downtime_hours(self) -> float:
-        return sum(f.duration for f in self.long_in_flap) / SECONDS_PER_HOUR
-
 
 def classify_false_positives(
     match_result: FailureMatchResult,

@@ -72,8 +72,8 @@ class AnalysisResult:
     horizon_start: float
     horizon_end: float
     options: AnalysisOptions
-    #: Drop ledger of a lenient (``strict=False``) run; ``None`` when the
-    #: caller did not ask for one.  Empty on clean inputs.
+    #: The drop ledger the caller passed as ``report``; ``None`` when the
+    #: caller passed none.  Empty on clean inputs.
     ingest: Optional[IngestReport] = None
 
     @property
@@ -95,20 +95,18 @@ def run_analysis(
     dataset: Dataset,
     options: Optional[AnalysisOptions] = None,
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
     ingest: str = "scalar",
 ) -> AnalysisResult:
     """Run the complete methodology against one dataset.
 
-    ``strict=True`` (the default) dies on the first malformed syslog line
-    or undecodable LSP record, as the original pipeline did.
-    ``strict=False`` is the hardened mode for artifacts left behind by a
-    crashed collector or listener: bad records are quarantined into
-    ``report`` (an :class:`~repro.faults.ledger.IngestReport`, created on
-    demand and attached to the result as ``result.ingest``) and the
-    analysis completes on everything salvageable.  On clean inputs both
-    modes produce byte-identical results.
+    Without a ``report`` the analysis dies on the first malformed syslog
+    line or damaged LSP record.  With one (an
+    :class:`~repro.faults.ledger.IngestReport`, attached to the result as
+    ``result.ingest``) it is hardened for artifacts left behind by a
+    crashed collector or listener: bad records are quarantined into the
+    ledger and the analysis completes on everything salvageable.  On
+    clean inputs both modes produce byte-identical results.
 
     ``ingest`` selects the syslog parse engine: ``"scalar"`` is the
     per-line reference parser, ``"columnar"`` the vectorised fast path of
@@ -120,8 +118,6 @@ def run_analysis(
         raise ValueError(f"unknown ingest engine {ingest!r}")
     if options is None:
         options = AnalysisOptions()
-    if not strict and report is None:
-        report = IngestReport()
     resolver = LinkResolver(dataset.inventory)
     horizon_start = dataset.analysis_start
     horizon_end = dataset.horizon_end
@@ -129,13 +125,9 @@ def run_analysis(
     if ingest == "columnar":
         from repro.columnar import parse_log_columnar
 
-        entries = parse_log_columnar(
-            dataset.syslog_text, strict=strict, report=report
-        )
+        entries = parse_log_columnar(dataset.syslog_text, report=report)
     else:
-        entries = SyslogCollector.parse_log(
-            dataset.syslog_text, strict=strict, report=report
-        )
+        entries = SyslogCollector.parse_log(dataset.syslog_text, report=report)
     syslog = extract_syslog(
         entries, resolver, horizon_start, horizon_end, options.syslog
     )
@@ -145,7 +137,6 @@ def run_analysis(
         horizon_start,
         horizon_end,
         options.isis,
-        strict=strict,
         report=report,
     )
 

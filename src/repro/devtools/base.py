@@ -12,7 +12,7 @@ guard that promise; this module holds the pieces they share:
     A parsed source file plus its suppression comments.
 :class:`Project`
     Every module of one lint run — cross-file rules (mutable-singleton
-    classification, the interprocedural R-rules) resolve names through it.
+    classification) resolve class names through it.
 :class:`Rule` and :func:`register`
     The rule interface and the registry the CLI iterates.
 """
@@ -119,8 +119,8 @@ class Project:
 
     def __init__(self, modules: Sequence[SourceModule]) -> None:
         self.modules = list(modules)
-        #: Scratch space for expensive project-wide artefacts (the call
-        #: graph) so several rules share one build per lint run.
+        #: Scratch space for expensive per-module artefacts (the set-flow
+        #: and horizon analyses) so several rules share one solve.
         self.cache: Dict[str, object] = {}
         self._classes: Dict[str, Tuple[SourceModule, ast.ClassDef]] = {}
         for module in self.modules:
@@ -150,8 +150,8 @@ class Rule:
     name: str = ""
     rationale: str = ""
     scope: Optional[Tuple[str, ...]] = None
-    #: Rules whose findings depend on *other* modules (class lookups,
-    #: the call graph) must run over the full :class:`Project`; per-module
+    #: Rules whose findings depend on *other* modules (class lookups)
+    #: must run over the full :class:`Project`; per-module
     #: rules have their results cached per file.
     project_wide: bool = False
 

@@ -14,8 +14,8 @@ Entries are small JSON files (the *raw* findings, before the driver
 applies suppression comments, which it does every run).  Writes are atomic
 (temp file + ``os.replace``) so a killed lint run never leaves a
 corrupt entry; unreadable entries are treated as misses.  Project-wide
-rules (mutability, R001) are never cached — their findings depend on
-other files.
+rules (the M mutability checks) are never cached — their findings
+depend on other files.
 """
 
 from __future__ import annotations

@@ -7,12 +7,11 @@ treats any non-zero as a failed build.
 
 Per-module rules run file by file and their results are cached on
 disk keyed by *(file bytes, rule set)* (:mod:`repro.devtools.cache`);
-project-wide rules — mutable-singleton classification and the
-interprocedural R-rules — always run over the full
-:class:`Project`.  ``--changed [REF]`` restricts per-module linting to
-files differing from a git ref for fast pre-commit runs, while the
-project-wide rules still see every file so interprocedural findings
-stay sound.
+project-wide rules — mutable-singleton classification — always run
+over the full :class:`Project`.  ``--changed [REF]`` restricts
+per-module linting to files differing from a git ref for fast
+pre-commit runs, while the project-wide rules still see every file so
+their cross-module class lookups stay sound.
 
 Configuration lives in ``[tool.reprolint]`` in ``pyproject.toml``::
 
@@ -338,16 +337,6 @@ def git_changed_files(root: str, ref: str = "HEAD") -> Optional[Set[str]]:
             if name:
                 changed.add(os.path.abspath(os.path.join(root, name)))
     return changed
-
-
-def lint_paths(
-    paths: Sequence[str],
-    exclude: Sequence[str] = (),
-    rule_ids: Optional[Iterable[str]] = None,
-) -> Tuple[List[Finding], List[Finding]]:
-    """Convenience wrapper: collect, parse, lint."""
-    project = load_project(collect_files(paths, exclude))
-    return lint_project(project, rule_ids)
 
 
 # ------------------------------------------------------------------ output

@@ -13,4 +13,4 @@ from repro.devtools.rules import (  # noqa: F401
 #: Bump whenever rule semantics change in a way that invalidates cached
 #: per-file results (the on-disk lint cache keys on this + the rule ids
 #: + the file bytes).
-RULESET_VERSION = "2026.10-rule-audit"
+RULESET_VERSION = "2026.10-ledger-mode"

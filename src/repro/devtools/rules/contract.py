@@ -1,28 +1,22 @@
-"""Ingestion-contract rules (R001–R002).
+"""The ingestion-contract rule (R002).
 
-PR 3's hardening promise (``docs/robustness.md``) is a *threading*
-contract: every public ingestion entry point accepts ``strict=`` and
-``report=`` and forwards them down to the parsers, so lenient mode and
-the drop ledger work end to end.  Nothing type-checks that — a refactor
-that stops forwarding ``strict`` at one hop silently resets the mode to
-the callee's default, and a ``report=`` parameter that is accepted but
-never passed on severs the ledger while every signature still looks
-right.
+The drop ledger is the ingest mode (``docs/robustness.md``): every
+ingestion entry point takes one ``report=`` keyword, raises without a
+ledger and quarantines into it with one, so lenient mode and the drop
+ledger work end to end only if each layer hands its ``report`` on.
+Nothing type-checks that — a ``report=`` parameter that is accepted but
+never passed on severs the ledger (and silently turns the layers below
+it strict) while every signature still looks right.
 
-R001 is interprocedural: it walks the
-:mod:`repro.devtools.flow.callgraph` from the public ingestion entry
-points and flags any reachable call where both caller and callee accept
-``strict`` but the call passes none (an explicit ``strict=False`` is a
-*decision* and is fine; saying nothing is the bug).  R002 is local:
-a ``report`` parameter that is never forwarded, recorded into, or
-aliased — comparisons against ``None`` and bare truthiness guards do
-not count as uses.
+R002 is local: it flags a ``report`` parameter that is never forwarded,
+recorded into, or aliased — comparisons against ``None`` and bare
+truthiness guards do not count as uses.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List
 
 from repro.devtools.base import (
     Finding,
@@ -31,7 +25,6 @@ from repro.devtools.base import (
     SourceModule,
     register,
 )
-from repro.devtools.flow.callgraph import CallGraph, get_callgraph
 
 #: Packages forming the ingestion surface (syslog/IS-IS readers, the
 #: stream sources, the batch pipeline, and the dataset loaders).
@@ -39,80 +32,6 @@ CONTRACT_PACKAGES = (
     "core", "stream", "syslog", "isis", "simulation", "fleet",
     "columnar", "service",
 )
-
-
-def _ingestion_roots(graph: CallGraph) -> List[str]:
-    """Public functions/methods in the ingestion packages (and in any
-    file outside the ``repro`` package, so fixtures are exercisable)."""
-    roots = []
-    for qualname, info in graph.functions.items():
-        subpackage = info.module.repro_subpackage()
-        if subpackage is not None and subpackage not in CONTRACT_PACKAGES:
-            continue
-        if info.is_public:
-            roots.append(qualname)
-    return roots
-
-
-def _reachable(project: Project) -> Set[str]:
-    cached = project.cache.get("contract_reachable")
-    if isinstance(cached, set):
-        return cached
-    graph = get_callgraph(project)
-    reachable = graph.reachable_from(_ingestion_roots(graph))
-    project.cache["contract_reachable"] = reachable
-    return reachable
-
-
-def _call_mentions_strict(call: ast.Call) -> bool:
-    for keyword in call.keywords:
-        if keyword.arg == "strict" or keyword.arg is None:  # **kwargs
-            return True
-    return any(isinstance(arg, ast.Starred) for arg in call.args)
-
-
-@register
-class StrictForwardRule(Rule):
-    id = "R001"
-    name = "strict-not-forwarded"
-    rationale = (
-        "On a call path from a public ingestion entry point, a caller "
-        "that accepts `strict=` but calls a `strict`-accepting parser "
-        "without passing it silently resets lenient/strict mode to the "
-        "callee's default — the caller's choice is dropped mid-path."
-    )
-    scope = CONTRACT_PACKAGES
-    project_wide = True
-
-    def check(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        graph = get_callgraph(project)
-        reachable = _reachable(project)
-        for edge in graph.edges:
-            caller = graph.functions[edge.caller]
-            if caller.module is not module:
-                continue
-            if edge.caller not in reachable:
-                continue
-            if "strict" not in caller.parameters:
-                continue
-            callee = graph.functions.get(edge.callee)
-            if callee is None or "strict" not in callee.parameters:
-                continue
-            if _call_mentions_strict(edge.call):
-                continue
-            yield module.finding(
-                self.id,
-                edge.call,
-                f"`{callee.qualname}` accepts `strict=` but this call "
-                f"from `{caller.qualname}` (reachable from a public "
-                f"ingestion entry point) does not forward the caller's "
-                f"`strict` — pass `strict=strict` or an explicit "
-                f"decision",
-            )
 
 
 def _is_stub_body(body: List[ast.stmt]) -> bool:

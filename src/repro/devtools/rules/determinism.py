@@ -286,11 +286,25 @@ def module_constant_env(module: SourceModule, imports: ImportMap) -> Env:
 
 
 def set_flow(
+    module: SourceModule, project: Project
+) -> List[Tuple[SetFlowEvaluator, ast.stmt, Env]]:
+    """Every statement of the module with the set/dict-view tags of the
+    locals entering it, solved once per project object and shared by
+    D004 and D005."""
+    cache_key = f"set_flow:{module.path}"
+    cached = project.cache.get(cache_key)
+    if isinstance(cached, list):
+        return cached
+    flow = list(_solve_set_flow(module))
+    project.cache[cache_key] = flow
+    return flow
+
+
+def _solve_set_flow(
     module: SourceModule,
 ) -> Iterator[Tuple[SetFlowEvaluator, ast.stmt, Env]]:
-    """Every statement of the module with the set/dict-view tags of the
-    locals entering it: the module, class and function bodies, each
-    solved as its own scope."""
+    """The dataflow behind :func:`set_flow`: the module, class and
+    function bodies, each solved as its own scope."""
     assert module.tree is not None
     imports = ImportMap.from_tree(module.tree)
     module_env = module_constant_env(module, imports)
@@ -356,7 +370,7 @@ class SetIterationRule(Rule):
     ) -> Iterator[Finding]:
         if module.tree is None:
             return
-        for evaluator, statement, env in set_flow(module):
+        for evaluator, statement, env in set_flow(module, project):
             for anchor, iterated in _iteration_sites(statement):
                 if "set" in evaluator.evaluate(iterated, env):
                     yield module.finding(
@@ -407,7 +421,7 @@ class DictOrderRule(Rule):
     ) -> Iterator[Finding]:
         if module.tree is None:
             return
-        for evaluator, statement, env in set_flow(module):
+        for evaluator, statement, env in set_flow(module, project):
             if not isinstance(statement, (ast.For, ast.AsyncFor)):
                 continue
             if "dictview" not in evaluator.evaluate(statement.iter, env):

@@ -267,10 +267,6 @@ class Matcher:
             len(s.a_pending) + len(s.b_pending) for s in self.links.values()
         )
 
-    @property
-    def decided_count(self) -> int:
-        return len(self.pairs) + len(self.only_a) + len(self.only_b)
-
 
 class CoverageScorer:
     """Incremental Table 3: reporters matching each IS-IS transition."""

@@ -4,7 +4,8 @@ Three pieces, mirroring how the paper treats measurement loss as the norm
 rather than the exception:
 
 * :mod:`repro.faults.ledger` — the :class:`IngestReport` drop ledger that
-  lenient ingestion (``strict=False``) fills instead of raising;
+  lenient ingestion (any call given a ``report=``) fills instead of
+  raising;
 * :mod:`repro.faults.injectors` — seeded corruptors for the real on-disk
   artifacts (garbage and mid-line truncation in the collector log,
   truncated tails and bit-flipped payloads in the LSP archive, checkpoint

@@ -16,8 +16,8 @@ invariants the hardened ingestion promises:
   dropped records.
 * **Kill-anywhere resume.**  A stream killed at any event boundary and
   resumed from its checkpoint finishes with byte-identical results —
-  checked through a real on-disk checkpoint file, in strict mode on the
-  pristine dataset and in lenient mode on a damaged one.
+  checked through a real on-disk checkpoint file, without a ledger on
+  the pristine dataset and with one on a damaged one.
 * **Corrupt checkpoints fail typed.**  Every corruption mode of the
   checkpoint's frontier file, and a results segment cut or bit-flipped
   inside its committed region, surfaces as :class:`CheckpointError`,
@@ -162,8 +162,9 @@ class _Chaos:
         dataset.save(self.pristine_dir)
         self.network = dataset.network
 
-        # The baseline is the *reloaded* pristine dataset in strict mode,
-        # so every comparison below is load-path against load-path.
+        # The baseline is the *reloaded* pristine dataset, loaded without
+        # a ledger, so every comparison below is load-path against
+        # load-path.
         self.pristine = Dataset.load(self.pristine_dir, self.network)
         self.baseline = run_analysis(self.pristine)
         self.baseline_signature = analysis_signature(self.baseline)
@@ -194,28 +195,23 @@ class _Chaos:
             path = directory / filename
             path.write_bytes(mutate(path.read_bytes()))
         report = IngestReport()
-        dataset = Dataset.load(
-            directory, self.network, strict=False, report=report
-        )
+        dataset = Dataset.load(directory, self.network, report=report)
         return directory, dataset, report
 
     def lenient_entry_count(self, dataset: Dataset) -> int:
         return len(
-            SyslogCollector.parse_log(
-                dataset.syslog_text, strict=False, report=IngestReport()
-            )
+            SyslogCollector.parse_log(dataset.syslog_text, report=IngestReport())
         )
 
 
 # ----------------------------------------------------------------- scenarios
 def _scenario_clean_identity(chaos: _Chaos) -> ScenarioOutcome:
-    """With no injector, lenient mode must be byte-identical to strict."""
+    """With no injector, a ledgered run must be byte-identical to one
+    without a ledger."""
     outcome = ScenarioOutcome("clean-identity")
     report = IngestReport()
-    dataset = Dataset.load(
-        chaos.pristine_dir, chaos.network, strict=False, report=report
-    )
-    result = run_analysis(dataset, strict=False, report=report)
+    dataset = Dataset.load(chaos.pristine_dir, chaos.network, report=report)
+    result = run_analysis(dataset, report=report)
     outcome.check(not report, "ledger empty on pristine artifacts")
     outcome.check(
         analysis_signature(result) == chaos.baseline_signature,
@@ -231,7 +227,7 @@ def _scenario_syslog_garbage(chaos: _Chaos) -> ScenarioOutcome:
         "syslog-garbage",
         {"syslog.log": lambda raw: inject_garbage_lines(raw, rng, GARBAGE_LINES)},
     )
-    result = run_analysis(dataset, strict=False, report=report)
+    result = run_analysis(dataset, report=report)
     drops = outcome.drops = report.dropped(CHANNEL_SYSLOG)
     outcome.check(
         1 <= drops <= GARBAGE_LINES,
@@ -256,7 +252,7 @@ def _scenario_syslog_truncate(chaos: _Chaos) -> ScenarioOutcome:
         "syslog-truncate",
         {"syslog.log": lambda raw: truncate_log_lines(raw, rng, TRUNCATED_LINES)},
     )
-    result = run_analysis(dataset, strict=False, report=report)
+    result = run_analysis(dataset, report=report)
     drops = outcome.drops = report.dropped(CHANNEL_SYSLOG)
     entries = chaos.lenient_entry_count(dataset)
     outcome.check(
@@ -291,7 +287,7 @@ def _scenario_mrt_damage(
     """Shared body of the two unresynchronisable-archive scenarios."""
     outcome = ScenarioOutcome(name)
     directory, dataset, report = chaos.damaged(name, {"isis.dump": mutate})
-    result = run_analysis(dataset, strict=False, report=report)
+    result = run_analysis(dataset, report=report)
     drops = outcome.drops = report.dropped(CHANNEL_ISIS)
     salvageable = len(_mrt_record_spans((directory / "isis.dump").read_bytes()))
     lost = chaos.baseline_records - len(dataset.lsp_records)
@@ -333,7 +329,7 @@ def _scenario_mrt_bitflip(chaos: _Chaos) -> ScenarioOutcome:
             )
         },
     )
-    result = run_analysis(dataset, strict=False, report=report)
+    result = run_analysis(dataset, report=report)
     outcome.check(
         len(dataset.lsp_records) == chaos.baseline_records,
         "framing intact: every record still loads",
@@ -449,35 +445,31 @@ def _resume_identical(
     path: Path,
     expected_signature: str,
     *,
-    strict: bool = True,
-) -> Tuple[bool, int]:
+    report: Optional[IngestReport] = None,
+) -> bool:
     """Kill one stream run at ``kill_at`` via a real checkpoint file and
-    resume it; returns (signatures match, lenient drops after resume)."""
+    resume it; returns whether the resumed run's signature matches.
+
+    ``report`` is the resumed run's ledger; with one, the killed run gets
+    a ledger of its own, so both legs run the hardened sources."""
 
     def save_and_kill(engine: StreamEngine) -> None:
         save_checkpoint(str(path), engine)
         raise _Killed()
 
-    report = None if strict else IngestReport()
     try:
         stream_dataset(
             dataset,
             checkpoint_at=[kill_at],
             on_checkpoint=save_and_kill,
-            strict=strict,
-            report=report,
+            report=None if report is None else IngestReport(),
         )
     except _Killed:
         pass
-    resume_report = None if strict else IngestReport()
     resumed = stream_dataset(
-        dataset,
-        resume_state=load_checkpoint(str(path)),
-        strict=strict,
-        report=resume_report,
+        dataset, resume_state=load_checkpoint(str(path)), report=report
     )
-    drops = resume_report.dropped() if resume_report is not None else 0
-    return stream_signature(resumed) == expected_signature, drops
+    return stream_signature(resumed) == expected_signature
 
 
 def _scenario_kill_resume(chaos: _Chaos) -> ScenarioOutcome:
@@ -489,7 +481,7 @@ def _scenario_kill_resume(chaos: _Chaos) -> ScenarioOutcome:
 
     points = _kill_points(total, chaos.kill_samples)
     for kill_at in points:
-        identical, _ = _resume_identical(chaos.pristine, kill_at, path, signature)
+        identical = _resume_identical(chaos.pristine, kill_at, path, signature)
         outcome.check(
             identical, f"kill at event {kill_at}/{total}: resume byte-identical"
         )
@@ -507,16 +499,17 @@ def _scenario_kill_resume(chaos: _Chaos) -> ScenarioOutcome:
         },
     )
     full_report = IngestReport()
-    damaged_full = stream_dataset(damaged, strict=False, report=full_report)
+    damaged_full = stream_dataset(damaged, report=full_report)
     damaged_total = damaged_full.counters["events"]
-    identical, resumed_drops = _resume_identical(
+    resume_report = IngestReport()
+    identical = _resume_identical(
         damaged,
         max(1, damaged_total // 2),
         path,
         stream_signature(damaged_full),
-        strict=False,
+        report=resume_report,
     )
-    outcome.drops = resumed_drops
+    resumed_drops = outcome.drops = resume_report.dropped()
     outcome.check(identical, "lenient resume on damaged archive byte-identical")
     outcome.check(
         resumed_drops == full_report.dropped() and resumed_drops > 0,

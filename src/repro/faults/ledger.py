@@ -3,14 +3,15 @@
 The paper's central finding is that measurement channels lose data —
 syslog drops messages under flap bursts (§4.1), the listener itself goes
 down (§4.2) — and the artifacts a crashed collector leaves behind are
-garbled logs and truncated archives.  Hardened ingestion
-(``strict=False`` through :mod:`repro.syslog.collector`,
-:mod:`repro.isis.mrt`, :mod:`repro.stream.sources`, and
-:func:`repro.core.pipeline.run_analysis`) never silently discards such a
-record: every skip lands here, as a :class:`DropRecord` with a
-machine-readable reason, the byte offset in the source artifact, and a
-clipped sample of the offending data, aggregated per channel by an
-:class:`IngestReport`.
+garbled logs and truncated archives.  The ledger is also the ingest
+mode: given one as ``report=``, :mod:`repro.syslog.collector`,
+:mod:`repro.isis.mrt`, :mod:`repro.stream.sources` and
+:func:`repro.core.pipeline.run_analysis` quarantine such a record
+instead of raising, and never discard it silently: every skip lands
+here, as a :class:`DropRecord` with a machine-readable reason, the byte
+offset in the source artifact, and a clipped sample of the offending
+data, aggregated per channel by an :class:`IngestReport`.  Callers test
+the mode with ``report is None``; an empty ledger is falsy.
 
 The ledger is the quarantine's audit trail: ``repro chaos`` asserts that
 under every injector the number of records the analysis lost is bounded

@@ -70,72 +70,67 @@ class MrtDumpWriter:
 class MrtDumpReader:
     """Iterates ``(time, payload)`` records out of a dump file.
 
-    ``strict=True`` (the default) raises :class:`MrtFormatError` on any
-    corruption, with the record index and byte offset in the message —
-    and closes the underlying stream first, so a dump that fails halfway
-    through iteration never leaks its file handle.
+    Without a ``report`` any corruption raises :class:`MrtFormatError`,
+    with the record index and byte offset in the message — and closes the
+    underlying stream first, so a dump that fails halfway through
+    iteration never leaks its file handle.
 
-    ``strict=False`` is salvage mode, for the archive a crashed listener
-    leaves behind: the valid prefix is yielded, and the first structural
-    error (truncated header/payload, absurd length — the file cannot be
+    With a ``report`` (an :class:`~repro.faults.ledger.IngestReport`) the
+    reader is in salvage mode, for the archive a crashed listener leaves
+    behind: the valid prefix is yielded, and the first structural error
+    (truncated header/payload, absurd length — the file cannot be
     re-synchronised past any of these) ends iteration cleanly after
-    recording the cut into ``report`` (an
-    :class:`~repro.faults.ledger.IngestReport`) with its reason, record
-    index, and byte offset.
+    recording the cut into the ledger with its reason, record index, and
+    byte offset.
     """
 
     def __init__(
         self,
         stream: BinaryIO,
         *,
-        strict: bool = True,
         report: Optional[IngestReport] = None,
     ) -> None:
         self._stream = stream
-        self._strict = strict
         self._report = report
         self._bad_magic = False
         magic = stream.read(len(MAGIC))
         if magic != MAGIC:
-            if strict:
+            if report is None:
                 stream.close()
                 raise MrtFormatError(
                     f"not a repro LSP dump file (bad magic at byte offset 0: "
                     f"{magic[:8]!r})"
                 )
             self._bad_magic = True
-            if report is not None:
-                report.record(
-                    CHANNEL_ISIS,
-                    "bad-magic",
-                    offset=0,
-                    index=0,
-                    sample=magic[:8],
-                )
+            report.record(
+                CHANNEL_ISIS,
+                "bad-magic",
+                offset=0,
+                index=0,
+                sample=magic[:8],
+            )
 
     @classmethod
     def open(
         cls,
         path: Union[str, Path],
         *,
-        strict: bool = True,
         report: Optional[IngestReport] = None,
     ) -> "MrtDumpReader":
-        return cls(open(path, "rb"), strict=strict, report=report)
+        return cls(open(path, "rb"), report=report)
 
     def _fail(
         self, reason: str, detail: str, index: int, offset: int, sample: bytes
     ) -> None:
-        """Strict: close and raise with context.  Lenient: record the cut."""
-        if self._strict:
+        """No ledger: close and raise with context.  Ledger: record the cut."""
+        if self._report is None:
             self._stream.close()
             raise MrtFormatError(
                 f"record {index} at byte offset {offset}: {detail}"
             )
-        if self._report is not None:
-            self._report.record(
-                CHANNEL_ISIS, reason, offset=offset, index=index, sample=sample
-            )
+        self._report.record(
+            CHANNEL_ISIS, reason, offset=offset, index=index, sample=sample
+        )
 
     def __iter__(self) -> Iterator[Tuple[float, bytes]]:
         if self._bad_magic:

@@ -74,7 +74,6 @@ class Dataset:
     def iter_syslog_entries(
         self,
         *,
-        strict: bool = True,
         report: Optional[IngestReport] = None,
     ) -> Iterator["CollectedEntry"]:
         """Parsed central-log entries in arrival order (streaming feed).
@@ -82,14 +81,10 @@ class Dataset:
         Arrival order is what the collector's file preserves; generation
         timestamps inside the entries may be mildly out of order because of
         delivery delays — streaming consumers re-order them in event time
-        (see :mod:`repro.stream.sources`).  ``strict=False`` quarantines
-        malformed lines into ``report`` instead of raising.
+        (see :mod:`repro.stream.sources`).  With a ``report`` malformed
+        lines are quarantined into it instead of raising.
         """
-        return iter(
-            SyslogCollector.parse_log(
-                self.syslog_text, strict=strict, report=report
-            )
-        )
+        return iter(SyslogCollector.parse_log(self.syslog_text, report=report))
 
     def iter_lsp_records(self) -> Iterator[Tuple[float, bytes]]:
         """Timestamped raw LSPs in capture order (streaming feed)."""
@@ -147,7 +142,6 @@ class Dataset:
         directory: Union[str, Path],
         network: Network,
         *,
-        strict: bool = True,
         report: Optional[IngestReport] = None,
     ) -> "Dataset":
         """Load a saved dataset.
@@ -157,13 +151,14 @@ class Dataset:
         regenerated network.  The mined inventory is re-derived from the
         saved config archive, exactly as a fresh analysis would.
 
-        ``strict=False`` is the hardened load for artifacts a crashed
+        With a ``report`` the load is hardened for artifacts a crashed
         collector or listener left behind: broken UTF-8 in the syslog
-        file decodes with replacement characters (the affected lines
-        surface later as parse drops), and a truncated or corrupt LSP
-        archive is salvaged — the valid prefix is kept and the cut is
-        recorded in ``report``.  On clean artifacts both modes load
-        identical datasets.
+        file decodes as lone surrogates (:data:`LENIENT_ERRORS`, so the
+        affected lines surface later as parse drops at their file
+        offsets), and a truncated or corrupt LSP archive is salvaged —
+        the valid prefix is kept and the cut is recorded in the ledger.
+        Without one, the same damage raises.  On clean artifacts both
+        modes load identical datasets.
         """
         root = Path(directory)
 
@@ -177,12 +172,10 @@ class Dataset:
 
         syslog_raw = (root / "syslog.log").read_bytes()
         syslog_text = syslog_raw.decode(
-            "utf-8", errors="strict" if strict else LENIENT_ERRORS
+            "utf-8", errors="strict" if report is None else LENIENT_ERRORS
         )
 
-        with MrtDumpReader.open(
-            root / "isis.dump", strict=strict, report=report
-        ) as reader:
+        with MrtDumpReader.open(root / "isis.dump", report=report) as reader:
             lsp_records = reader.read_all()
 
         ground_truth = json.loads(

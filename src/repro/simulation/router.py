@@ -93,12 +93,6 @@ class SimulatedRouter:
         self.flood_count = 0
 
     # ------------------------------------------------------------- queries
-    def neighbor_of(self, link_id: str) -> str:
-        return self._link_neighbor[link_id]
-
-    def prefix_of(self, link_id: str) -> Tuple[int, int]:
-        return self._link_prefix[link_id]
-
     def advertises_neighbor(self, neighbor_system_id: str) -> bool:
         return bool(self._up_links_by_neighbor.get(neighbor_system_id))
 

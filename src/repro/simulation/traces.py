@@ -185,7 +185,3 @@ def _pin_cause(
     return dataclasses.replace(
         failure, cause=cause, delayed_second=delayed, second_skew=skew
     )
-
-
-def read_trace_file(path: Union[str, Path]) -> str:
-    return Path(path).read_text(encoding="utf-8")

@@ -435,7 +435,6 @@ def stream_dataset(
     checkpoint_at: Iterable[int] = (),
     checkpoint_every: int = 0,
     on_checkpoint: Optional[Callable[[StreamEngine], None]] = None,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> StreamResult:
     """Tail a dataset through a streaming engine and return the result.
@@ -446,12 +445,12 @@ def stream_dataset(
     counts in ``checkpoint_at`` (the tests' arbitrary cut points) and
     every ``checkpoint_every`` events (the CLI's periodic saves).
 
-    ``strict=False`` runs the hardened sources: malformed syslog lines
-    and undecodable LSP records are quarantined into ``report`` instead
-    of raising.  Dropped records yield no events, so resume arithmetic
-    (skip ``events_consumed`` delivered events) is unchanged, and a
-    resumed lenient run re-reads the artifacts from byte zero and
-    therefore rebuilds the full ledger.
+    With a ``report`` the sources are hardened: malformed syslog lines
+    and damaged LSP records are quarantined into it instead of raising.
+    Dropped records yield no events, so resume arithmetic (skip
+    ``events_consumed`` delivered events) is unchanged, and a resumed
+    ledgered run re-reads the artifacts from byte zero and therefore
+    rebuilds the full ledger.
     """
     resolver = LinkResolver(dataset.inventory)
     if resume_state is not None:
@@ -468,7 +467,7 @@ def stream_dataset(
             options,
         )
 
-    events = dataset_event_stream(dataset, resolver, strict=strict, report=report)
+    events = dataset_event_stream(dataset, resolver, report=report)
     for _ in range(engine.events_consumed):
         next(events)
 

@@ -27,15 +27,14 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.extract_isis import classify_change
+from repro.core.extract_isis import _observed, classify_change
 from repro.core.extract_syslog import classify_entry
 from repro.core.events import LinkMessage
 from repro.core.links import LinkResolver
-from repro.faults.ledger import CHANNEL_ISIS, IngestReport
+from repro.faults.ledger import IngestReport
 from repro.isis.listener import IsisListener
 from repro.simulation.dataset import Dataset
 
@@ -119,16 +118,6 @@ class ReorderBuffer:
         self._released = max(self._released, self._max_time)
         return released
 
-    def pending(self) -> List[StreamEvent]:
-        """Everything still buffered, in release order, *without* mutating.
-
-        The always-on service uses this to build point-in-time snapshot
-        reports: a cloned engine is finished with the pending events
-        while the live buffer keeps holding them (they may yet be joined
-        by earlier-sorting peers inside the lateness bound).
-        """
-        return [entry[2] for entry in sorted(self._heap)]
-
 
 class LogTailer:
     """Incremental line reader over a *growing* log file.
@@ -209,7 +198,6 @@ def syslog_events(
     dataset: Dataset,
     resolver: LinkResolver,
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> Iterator[StreamEvent]:
     """The central log file as an event-time-ordered event stream.
@@ -219,12 +207,12 @@ def syslog_events(
     extractor's sorts produce.  (A live adapter would substitute a
     :class:`ReorderBuffer` bounded by the transport's maximum delay.)
 
-    ``strict=False`` quarantines malformed log lines into ``report``
-    instead of raising — the same lenient parse the batch pipeline
-    applies, so both modes see the same entries.
+    With a ``report`` malformed log lines are quarantined into it
+    instead of raising — the same parse the batch pipeline applies, so
+    both drivers see the same entries.
     """
     events: List[StreamEvent] = []
-    for entry in dataset.iter_syslog_entries(strict=strict, report=report):
+    for entry in dataset.iter_syslog_entries(report=report):
         kind, message = classify_entry(entry, resolver)
         time = message.time if message is not None else entry.generated_time
         events.append(StreamEvent(time, SYSLOG_CHANNEL, kind, message))
@@ -236,7 +224,6 @@ def isis_events(
     dataset: Dataset,
     resolver: LinkResolver,
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> Iterator[StreamEvent]:
     """The LSP archive replayed through a fresh listener, incrementally.
@@ -247,11 +234,10 @@ def isis_events(
     ``(link, reporter)`` so ties resolve exactly as the batch
     extractor's stable sort does.
 
-    ``strict=False`` quarantines records the listener cannot decode
-    (bit-flipped payloads, checksum failures) and records whose capture
-    timestamp regresses — both artifacts of a damaged archive — into
-    ``report`` and continues, mirroring
-    :func:`repro.core.extract_isis.replay_lsp_records` so batch and
+    Damaged records — undecodable, or with a regressed capture time —
+    raise without a ``report`` and are quarantined into it with one,
+    through the same replay loop as
+    :func:`repro.core.extract_isis.replay_lsp_records`, so batch and
     stream remain equivalent on damaged archives.  A dropped record
     yields no event, not even a tick: the batch extractor never saw it
     either.
@@ -259,32 +245,8 @@ def isis_events(
     listener = IsisListener()
     pending: List[StreamEvent] = []
     pending_time: Optional[float] = None
-    for index, (time, raw) in enumerate(dataset.iter_lsp_records()):
-        if pending_time is not None and time < pending_time:
-            if strict:
-                raise ValueError(
-                    f"LSP archive regressed from {pending_time} to {time}; "
-                    "the capture is not replayable as a stream"
-                )
-            if report is not None:
-                report.record(
-                    CHANNEL_ISIS,
-                    "time-regression",
-                    index=index,
-                    sample=f"{pending_time} -> {time}",
-                )
-            continue
-        rejected_before = listener.rejected_count
-        try:
-            changes = listener.observe_bytes(time, raw)
-        except (ValueError, struct.error) as error:
-            if strict:
-                raise
-            if report is not None:
-                report.record(
-                    CHANNEL_ISIS, "lsp-decode", index=index, sample=str(error)
-                )
-            continue
+    rejected = 0
+    for time, changes in _observed(dataset.iter_lsp_records(), listener, report):
         if pending_time is not None and time > pending_time:
             pending.sort(key=_event_key)
             for event in pending:
@@ -292,7 +254,8 @@ def isis_events(
             pending = []
         pending_time = time
 
-        if listener.rejected_count > rejected_before:
+        if listener.rejected_count > rejected:
+            rejected = listener.rejected_count
             pending.append(StreamEvent(time, ISIS_CHANNEL, KIND_REJECTED))
         elif not changes:
             pending.append(StreamEvent(time, ISIS_CHANNEL, KIND_TICK))
@@ -332,13 +295,12 @@ def dataset_event_stream(
     dataset: Dataset,
     resolver: LinkResolver,
     *,
-    strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> Iterator[StreamEvent]:
     """The canonical merged event stream of a saved campaign."""
     return merge_events(
         [
-            syslog_events(dataset, resolver, strict=strict, report=report),
-            isis_events(dataset, resolver, strict=strict, report=report),
+            syslog_events(dataset, resolver, report=report),
+            isis_events(dataset, resolver, report=report),
         ]
     )

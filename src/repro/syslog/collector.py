@@ -134,7 +134,6 @@ class SyslogCollector:
     def parse_log(
         text: str,
         *,
-        strict: bool = True,
         report: Optional[IngestReport] = None,
     ) -> List[CollectedEntry]:
         """Parse log text into typed entries (unparseable bodies kept raw).
@@ -144,41 +143,40 @@ class SyslogCollector:
         revisits the same calendar dates, so each line's year is chosen as
         the earliest candidate consistent with the log's progress so far.
 
-        ``strict=True`` (the default) raises
+        Without a ``report`` the parse raises
         :class:`~repro.syslog.message.SyslogParseError` on the first
-        malformed line, exactly as before.  ``strict=False`` is the
-        hardened path for the artifacts a crashed collector leaves
-        behind: malformed lines — garbage, binary junk, mid-line
-        truncations — are quarantined into ``report`` (an
-        :class:`~repro.faults.ledger.IngestReport`) with their reason,
-        line number, and byte offset, and parsing continues.  On a clean
-        log both modes return identical entries.
+        malformed line.  With one (an
+        :class:`~repro.faults.ledger.IngestReport`) it is the hardened
+        path for the artifacts a crashed collector leaves behind:
+        malformed lines — garbage, binary junk, mid-line truncations —
+        are quarantined into the ledger with their reason, line number,
+        and byte offset, and parsing continues.  On a clean log both
+        modes return identical entries.
         """
         entries: List[CollectedEntry] = []
         memo: CiscoMemo = {}
         latest = 0.0
         # Byte offsets are reported only for quarantined lines, so only
-        # lenient mode tracks them.
+        # a ledgered parse tracks them.
         offset = 0
         for line_number, line in enumerate(text.split("\n"), start=1):
-            if not strict:
+            if report is not None:
                 line_offset = offset
                 offset += line_octets(line) + 1
             if not line.strip():
                 continue
-            if strict:
+            if report is None:
                 message = parse_syslog_line(line, after=latest)
             else:
                 message, reason = try_parse_syslog_line(line, after=latest)
                 if message is None:
-                    if report is not None:
-                        report.record(
-                            CHANNEL_SYSLOG,
-                            reason or "malformed-line",
-                            offset=line_offset,
-                            index=line_number,
-                            sample=line,
-                        )
+                    report.record(
+                        CHANNEL_SYSLOG,
+                        reason or "malformed-line",
+                        offset=line_offset,
+                        index=line_number,
+                        sample=line,
+                    )
                     continue
             timestamp = message.timestamp
             if timestamp > latest:
@@ -193,17 +191,16 @@ class SyslogCollector:
         cls,
         path: Union[str, Path],
         *,
-        strict: bool = True,
         report: Optional[IngestReport] = None,
     ) -> List[CollectedEntry]:
-        """Read and parse a log file; lenient mode survives broken UTF-8.
+        """Read and parse a log file; a ledgered read survives broken UTF-8.
 
-        In strict mode undecodable bytes raise ``UnicodeDecodeError`` as
-        before; in lenient mode they decode as lone surrogates
-        (:data:`LENIENT_ERRORS`), which makes the affected lines
-        unparseable and therefore visible in the ledger rather than fatal,
-        at offsets that count the file's bytes.
+        Without a ``report`` undecodable bytes raise ``UnicodeDecodeError``;
+        with one they decode as lone surrogates (:data:`LENIENT_ERRORS`),
+        which makes the affected lines unparseable and therefore visible in
+        the ledger rather than fatal, at offsets that count the file's
+        bytes.
         """
         data = Path(path).read_bytes()
-        text = data.decode("utf-8", errors="strict" if strict else LENIENT_ERRORS)
-        return cls.parse_log(text, strict=strict, report=report)
+        errors = "strict" if report is None else LENIENT_ERRORS
+        return cls.parse_log(data.decode("utf-8", errors=errors), report=report)

@@ -64,13 +64,6 @@ class MinedInventory:
     #: Interfaces whose /31 peer never appeared in the archive.
     unpaired_interfaces: List[MinedInterface] = field(default_factory=list)
 
-    def link_by_endpoints(self) -> Dict[Tuple[str, str, str, str], MinedLink]:
-        """Index links by their canonical (routerA, portA, routerB, portB)."""
-        return {
-            (link.router_a, link.port_a, link.router_b, link.port_b): link
-            for link in self.links
-        }
-
 
 class ConfigArchive:
     """A collection of configuration file texts, keyed by an archive name.

@@ -226,9 +226,6 @@ class Network:
             if link.device_pair not in multi
         ]
 
-    def link_class_of(self, link_id: str) -> LinkClass:
-        return self.links[link_id].link_class
-
     def core_links(self) -> List[Link]:
         return [l for l in self.links.values() if l.link_class is LinkClass.CORE]
 

@@ -2,7 +2,7 @@
 
 ``repro.columnar`` is only allowed to be fast.  Every test here compares
 the vectorised batch parse against ``SyslogCollector.parse_log``
-— entries, drop ledgers, strict-mode exceptions — on inputs
+— entries, drop ledgers, ledger-less exceptions — on inputs
 chosen to hit the classifier's escape hatches: year rollover, Feb 29,
 backdated lines at the slack boundary, truncation, binary garbage, and
 non-ASCII text.  The Hypothesis fuzz then quantifies over arbitrary
@@ -98,21 +98,19 @@ def ledger_json(report: IngestReport) -> str:
     return json.dumps(payload, default=str, sort_keys=True)
 
 
-def assert_identical(text: str, *, strict: bool) -> None:
-    """The full contract: entries, ledger records and raised exceptions."""
-    scalar_report, columnar_report = IngestReport(), IngestReport()
+def assert_identical(text: str, *, ledger: bool) -> None:
+    """The full contract: entries, ledger records and raised exceptions,
+    with a drop ledger (``ledger=True``) or without one."""
+    scalar_report = IngestReport() if ledger else None
+    columnar_report = IngestReport() if ledger else None
     scalar_exc = columnar_exc = None
     scalar = columnar = None
     try:
-        scalar = SyslogCollector.parse_log(
-            text, strict=strict, report=None if strict else scalar_report
-        )
+        scalar = SyslogCollector.parse_log(text, report=scalar_report)
     except Exception as exc:  # noqa: BLE001 - identity includes the type
         scalar_exc = (type(exc).__name__, str(exc))
     try:
-        columnar = parse_log_columnar(
-            text, strict=strict, report=None if strict else columnar_report
-        )
+        columnar = parse_log_columnar(text, report=columnar_report)
     except Exception as exc:  # noqa: BLE001
         columnar_exc = (type(exc).__name__, str(exc))
 
@@ -120,7 +118,7 @@ def assert_identical(text: str, *, strict: bool) -> None:
     if scalar_exc is not None:
         return
     assert scalar == columnar
-    if not strict:
+    if ledger:
         assert ledger_json(scalar_report) == ledger_json(columnar_report)
 
 
@@ -129,15 +127,15 @@ def test_backends_reported():
     assert ("numpy" in backends) == COLUMNAR_AVAILABLE
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_clean_corpus_identity(strict):
+@pytest.mark.parametrize("ledger", [False, True])
+def test_clean_corpus_identity(ledger):
     rng = random.Random(7)
-    assert_identical(clean_corpus(rng, 800), strict=strict)
+    assert_identical(clean_corpus(rng, 800), ledger=ledger)
 
 
 def test_year_rollover_identity():
     rng = random.Random(11)
-    assert_identical(clean_corpus(rng, 1500, step=40000.0), strict=False)
+    assert_identical(clean_corpus(rng, 1500, step=40000.0), ledger=True)
 
 
 def test_backdated_lines_identity():
@@ -146,11 +144,11 @@ def test_backdated_lines_identity():
     for _ in range(800):
         time += rng.random() * 30000.0
         lines.append(render_line(rng, max(0.0, time - rng.random() * 172000.0)))
-    assert_identical("\n".join(lines) + "\n", strict=False)
+    assert_identical("\n".join(lines) + "\n", ledger=True)
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_edge_vectors_identity(strict):
+@pytest.mark.parametrize("ledger", [False, True])
+def test_edge_vectors_identity(ledger):
     rng = random.Random(17)
     mixed = []
     time = 0.0
@@ -160,7 +158,7 @@ def test_edge_vectors_identity(strict):
         else:
             time += rng.random() * 5.0
             mixed.append(render_line(rng, time))
-    assert_identical("\n".join(mixed), strict=strict)
+    assert_identical("\n".join(mixed), ledger=ledger)
 
 
 def test_truncated_lines_identity():
@@ -172,7 +170,7 @@ def test_truncated_lines_identity():
         if rng.random() < 0.4:
             line = line[: rng.randrange(len(line))]
         lines.append(line)
-    assert_identical("\n".join(lines), strict=False)
+    assert_identical("\n".join(lines), ledger=True)
 
 
 def test_random_bytes_identity():
@@ -180,7 +178,7 @@ def test_random_bytes_identity():
     blob = bytes(rng.randrange(256) for _ in range(8000)).decode(
         "utf-8", "replace"
     )
-    assert_identical(blob, strict=False)
+    assert_identical(blob, ledger=True)
 
 
 def test_late_start_identity():
@@ -188,7 +186,7 @@ def test_late_start_identity():
     a cold context in both engines alike."""
     rng = random.Random(29)
     text = clean_corpus(rng, 200, start=400 * 86400.0)
-    assert_identical(text, strict=False)
+    assert_identical(text, ledger=True)
 
 
 def test_fault_injected_ledger_equivalence():
@@ -200,10 +198,8 @@ def test_fault_injected_ledger_equivalence():
     text = damaged.decode("utf-8", "replace")
 
     scalar_report, columnar_report = IngestReport(), IngestReport()
-    scalar = SyslogCollector.parse_log(
-        text, strict=False, report=scalar_report
-    )
-    columnar = parse_log_columnar(text, strict=False, report=columnar_report)
+    scalar = SyslogCollector.parse_log(text, report=scalar_report)
+    columnar = parse_log_columnar(text, report=columnar_report)
     assert scalar == columnar
     assert ledger_json(scalar_report) == ledger_json(columnar_report)
 
@@ -230,10 +226,10 @@ _line_strategy = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(lines=st.lists(_line_strategy, max_size=40), strict=st.booleans())
-def test_fuzz_batched_equals_per_line(lines, strict):
+@given(lines=st.lists(_line_strategy, max_size=40), ledger=st.booleans())
+def test_fuzz_batched_equals_per_line(lines, ledger):
     """Batched parse == per-line reference parse on arbitrary mixes."""
-    assert_identical("\n".join(lines), strict=strict)
+    assert_identical("\n".join(lines), ledger=ledger)
 
 
 # ----------------------------------------------------------- end to end
@@ -271,9 +267,7 @@ def test_lenient_damaged_artifacts_identity(small_dataset):
     damaged = damage(small_dataset)
     reports = {"scalar": IngestReport(), "columnar": IngestReport()}
     results = {
-        ingest: run_analysis(
-            damaged, strict=False, report=reports[ingest], ingest=ingest
-        )
+        ingest: run_analysis(damaged, report=reports[ingest], ingest=ingest)
         for ingest in reports
     }
     assert analysis_signature(results["columnar"]) == analysis_signature(
@@ -297,7 +291,7 @@ def test_strict_damaged_artifacts_same_exception(small_dataset):
     raised = {}
     for ingest in ("scalar", "columnar"):
         with pytest.raises(Exception) as error:
-            run_analysis(damaged, strict=True, ingest=ingest)
+            run_analysis(damaged, ingest=ingest)
         raised[ingest] = (type(error.value), str(error.value))
     assert raised["columnar"] == raised["scalar"]
 

@@ -28,7 +28,7 @@ EXPECTED_RULES = {
     "bad_shared_default.py": {"M002"},
     "bad_flow_set.py": {"D004", "D005"},
     "bad_swallow.py": {"E001", "E002"},
-    "bad_contract.py": {"R001", "R002"},
+    "bad_contract.py": {"R002"},
     "bad_horizon_clip.py": {"H201", "H202", "H203"},
     "bad_columnar_barrier.py": {"B301", "B302"},
     "bad_atomic.py": {"A501", "A502", "A503"},
@@ -83,11 +83,10 @@ def test_json_finding_shape(capsys):
 def test_json_report_matches_golden(capsys, monkeypatch):
     """The full JSON report for one fixture, field for field.
 
-    Run from the repo root on a relative path so every field —
-    including the path-derived qualnames in R001 messages — is
-    machine-independent.  Any change to the report schema or to the
-    fixture's findings must update ``golden_bad_contract.json``
-    deliberately.
+    Run from the repo root on a relative path so every field — the
+    reported path above all — is machine-independent.  Any change to
+    the report schema or to the fixture's findings must update
+    ``golden_bad_contract.json`` deliberately.
     """
     monkeypatch.chdir(REPO_ROOT)
     _, report = lint_json(
@@ -302,11 +301,12 @@ def test_unknown_rule_id_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "rule_id", ["T001", "T002", "T003", "U001", "U002", "F001", "F002"]
+    "rule_id", ["T001", "T002", "T003", "U001", "U002", "F001", "F002", "R001"]
 )
 def test_deleted_rule_id_is_usage_error(capsys, rule_id):
     # The datetime-axis rules could never fire on the float-seconds time
-    # axis, and the set/dict-view flow analysis reports under D004/D005.
+    # axis, the set/dict-view flow analysis reports under D004/D005, and
+    # no ingestion function has a `strict` parameter left to forward.
     code = main([str(FIXTURES / "bad_wallclock.py"), "--select", rule_id])
     assert code == 2
 
@@ -344,7 +344,7 @@ def test_list_rules_catalogue(capsys):
         "M001", "M002",
         "E001", "E002",
         "S001", "X001",
-        "R001", "R002",
+        "R002",
         "H201", "H202", "H203",
         "B301", "B302",
         "A501", "A502", "A503",

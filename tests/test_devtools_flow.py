@@ -1,6 +1,6 @@
-"""Unit tests for the flow engine (CFG / dataflow / call graph), the
+"""Unit tests for the flow engine (CFG / dataflow), the
 flow-sensitive rule families on inline fixtures, and the driver's
-parallel / cached / ``--changed`` modes.
+cached / ``--changed`` modes.
 """
 
 import ast
@@ -13,16 +13,17 @@ import pytest
 import repro.devtools.rules  # noqa: F401  (registry side effect)
 from repro.devtools.base import ImportMap, Project, REGISTRY, SourceModule
 from repro.devtools.cache import LintCache
-from repro.devtools.flow.callgraph import CallGraph, get_callgraph
 from repro.devtools.flow.cfg import ENTRY, EXIT, build_cfg, iter_scopes
 from repro.devtools.flow.dataflow import TagEvaluator, analyze_scope
 from repro.devtools.lint import (
+    check_module_local,
     collect_files,
     git_changed_files,
     lint_project,
     load_project,
     main,
 )
+from repro.devtools.rules import determinism
 from repro.devtools.rules.determinism import SetFlowEvaluator
 
 
@@ -217,81 +218,6 @@ class TestDataflow:
         assert envs[node]["x"] == frozenset({"set"})
 
 
-# ------------------------------------------------------------- callgraph
-CALLGRAPH_SOURCE = '''
-class Reader:
-    def open(self, path, *, strict=True):
-        return self._load(path)
-
-    def _load(self, path):
-        return path
-
-
-def parse(text, *, strict=True):
-    return text
-
-
-def ingest(path, *, strict=True):
-    reader = Reader()
-    handle = reader.open(path, strict=strict)
-    return parse(handle, strict=strict)
-'''
-
-
-class TestCallGraph:
-    def graph(self, extra=()):
-        modules = [SourceModule("scratch/mod.py", CALLGRAPH_SOURCE)]
-        modules.extend(SourceModule(p, t) for p, t in extra)
-        return CallGraph(Project(modules))
-
-    def test_resolves_bare_same_module_call(self):
-        graph = self.graph()
-        callees = {
-            e.callee for e in graph.edges_from["scratch.mod.ingest"]
-        }
-        assert "scratch.mod.parse" in callees
-
-    def test_resolves_method_through_local_constructor_type(self):
-        graph = self.graph()
-        callees = {
-            e.callee for e in graph.edges_from["scratch.mod.ingest"]
-        }
-        assert "scratch.mod.Reader.open" in callees
-
-    def test_resolves_self_call_to_enclosing_class(self):
-        graph = self.graph()
-        callees = {
-            e.callee for e in graph.edges_from["scratch.mod.Reader.open"]
-        }
-        assert "scratch.mod.Reader._load" in callees
-
-    def test_resolves_imported_function(self):
-        graph = self.graph(
-            extra=[
-                (
-                    "scratch/other.py",
-                    "from scratch.mod import parse\n"
-                    "def entry(text):\n"
-                    "    return parse(text)\n",
-                )
-            ]
-        )
-        callees = {
-            e.callee for e in graph.edges_from["scratch.other.entry"]
-        }
-        assert "scratch.mod.parse" in callees
-
-    def test_reachability_walks_transitively(self):
-        graph = self.graph()
-        reachable = graph.reachable_from(["scratch.mod.ingest"])
-        assert "scratch.mod.Reader._load" in reachable
-        assert "scratch.mod.parse" in reachable
-
-    def test_graph_is_memoised_per_project(self):
-        project = Project([SourceModule("scratch/mod.py", CALLGRAPH_SOURCE)])
-        assert get_callgraph(project) is get_callgraph(project)
-
-
 # ------------------------------------------------ D004/D005 flow corners
 class TestFlowRuleCorners:
     def test_d004_reports_a_spelled_out_set_once(self):
@@ -345,36 +271,33 @@ class TestFlowRuleCorners:
         )
 
 
+    def test_d004_and_d005_share_one_set_flow_solve(self, monkeypatch):
+        source = textwrap.dedent(
+            """
+            def f(links, d):
+                for link in set(links):
+                    print(link)
+                for key, value in d.items():
+                    print(key)
+            """
+        )
+        separate = run_rule("D004", source) + run_rule("D005", source)
+        assert [f.rule for f in separate] == ["D004", "D005"]
+        solves = []
+        solve = determinism._solve_set_flow
+
+        def counted(module):
+            solves.append(module.path)
+            return solve(module)
+
+        monkeypatch.setattr(determinism, "_solve_set_flow", counted)
+        module = SourceModule("scratch/mod.py", source)
+        assert check_module_local(module, ["D004", "D005"]) == separate
+        assert solves == ["scratch/mod.py"]
+
+
 # -------------------------------------------------------- R rule corners
 class TestContractCorners:
-    def test_r001_explicit_decision_is_not_flagged(self):
-        assert (
-            run_rule(
-                "R001",
-                """
-                def parse(text, *, strict=True):
-                    return text
-                def ingest(path, *, strict=True):
-                    return parse(path, strict=False)
-                """,
-            )
-            == []
-        )
-
-    def test_r001_kwargs_forward_is_not_flagged(self):
-        assert (
-            run_rule(
-                "R001",
-                """
-                def parse(text, *, strict=True):
-                    return text
-                def ingest(path, *, strict=True, **kwargs):
-                    return parse(path, **kwargs)
-                """,
-            )
-            == []
-        )
-
     def test_r002_guard_only_use_still_fires(self):
         hits = run_rule(
             "R002",

@@ -7,7 +7,6 @@ fires, then checks that the unmodified module is clean.
 * D004 — an aliased set iteration injected into ``core/matching.py``
   (the alias hides the set from a syntactic match; the dataflow sees
   it);
-* R001 — the ``strict=`` forward severed in ``core/pipeline.py``;
 * R002 — the ``report=`` forward severed in ``syslog/collector.py``.
 """
 
@@ -20,7 +19,6 @@ from repro.devtools.base import Project, REGISTRY, SourceModule
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 MATCHING_PATH = SRC / "repro" / "core" / "matching.py"
-PIPELINE_PATH = SRC / "repro" / "core" / "pipeline.py"
 COLLECTOR_PATH = SRC / "repro" / "syslog" / "collector.py"
 
 
@@ -79,7 +77,7 @@ def test_shipped_matching_is_clean_for_d004():
     assert run_rule("D004", modules, MATCHING_PATH) == []
 
 
-# ------------------------------------------------------------------ R001
+# ------------------------------------------------------------------ R002
 def drop_keyword(source: str, function_name: str, keyword: str) -> str:
     """Remove ``keyword=...`` from every call inside ``function_name``."""
     tree = ast.parse(source)
@@ -102,23 +100,6 @@ def drop_keyword(source: str, function_name: str, keyword: str) -> str:
     return ast.unparse(tree)
 
 
-def test_severed_strict_forward_in_pipeline_trips_r001():
-    drifted = drop_keyword(
-        PIPELINE_PATH.read_text(encoding="utf-8"), "run_analysis", "strict"
-    )
-    modules = src_modules(PIPELINE_PATH, drifted)
-    hits = run_rule("R001", modules, PIPELINE_PATH)
-    assert hits, "R001 should fire when run_analysis stops forwarding strict"
-    assert any("run_analysis" in f.message for f in hits)
-    assert any("strict" in f.message for f in hits)
-
-
-def test_shipped_pipeline_is_clean_for_r001():
-    modules = src_modules(PIPELINE_PATH, PIPELINE_PATH.read_text("utf-8"))
-    assert run_rule("R001", modules, PIPELINE_PATH) == []
-
-
-# ------------------------------------------------------------------ R002
 def test_severed_report_forward_in_collector_trips_r002():
     drifted = drop_keyword(
         COLLECTOR_PATH.read_text(encoding="utf-8"), "read_log", "report"

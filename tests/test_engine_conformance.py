@@ -134,12 +134,12 @@ def conformance(request, campaign, tmp_path_factory):
         return ledgers[name]
 
     modes = {
-        "batch": run_analysis(dataset, strict=False, report=tracked("batch")),
+        "batch": run_analysis(dataset, report=tracked("batch")),
         "columnar": run_analysis(
-            dataset, strict=False, report=tracked("columnar"), ingest="columnar"
+            dataset, report=tracked("columnar"), ingest="columnar"
         ),
     }
-    stream = stream_dataset(dataset, strict=False, report=tracked("stream"))
+    stream = stream_dataset(dataset, report=tracked("stream"))
 
     # Service mode: the saved tenant profile's syslog journal drained by
     # the real worker entry point and by the in-process replay comparator.

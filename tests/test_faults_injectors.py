@@ -9,7 +9,9 @@ Three layers are covered here, bottom-up:
 * the hardened readers fed the injectors' output — MRT salvage at every
   possible truncation offset, strict errors that name the record index
   and byte offset (and close the stream), and checkpoint corruption
-  surfacing as typed `CheckpointError`.
+  surfacing as typed `CheckpointError`;
+* the ingestion contract: every entry point that takes `report=` hands
+  its ledger down to the lowest layer, and raises without one.
 
 The end-to-end composition of all three is `repro chaos`
 (tests/test_faults_chaos.py).
@@ -17,13 +19,18 @@ The end-to-end composition of all three is `repro chaos`
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import struct
 
 import pytest
 
+from repro.columnar import ingest as columnar_ingest
 from repro.columnar import parse_log_columnar
+from repro.core.extract_isis import extract_isis, replay_lsp_records
+from repro.core.links import LinkResolver
+from repro.core.pipeline import run_analysis
 from repro.faults.injectors import (
     CHECKPOINT_MODES,
     INJECTOR_NAMES,
@@ -44,6 +51,7 @@ from repro.faults.ledger import (
     clip_sample,
 )
 from repro.intervals import IntervalSet
+from repro.isis.lsp import LspDecodeError
 from repro.isis.mrt import (
     _MAX_RECORD,
     _RECORD_HEADER,
@@ -59,8 +67,10 @@ from repro.stream.checkpoint import (
     decode_engine,
     load_checkpoint,
 )
-from repro.syslog.collector import SyslogCollector
-from repro.syslog.message import SyslogMessage
+from repro.stream.engine import stream_dataset
+from repro.stream.sources import dataset_event_stream, isis_events, syslog_events
+from repro.syslog.collector import LENIENT_ERRORS, SyslogCollector
+from repro.syslog.message import SyslogMessage, SyslogParseError
 from repro.util.rand import child_rng
 
 
@@ -171,7 +181,7 @@ class TestLogInjectors:
                 drops.append(super().record(*args, **kwargs))
                 return drops[-1]
 
-        SyslogCollector.parse_log(text, strict=False, report=RecordingReport())
+        SyslogCollector.parse_log(text, report=RecordingReport())
         assert drops
         starts = [0]
         for line in text.split("\n"):
@@ -226,7 +236,7 @@ class TestLenientOffsetsOnFiles:
         path = tmp_path / "syslog.log"
         path.write_bytes(raw)
         report = _RecordingReport()
-        SyslogCollector.read_log(path, strict=False, report=report)
+        SyslogCollector.read_log(path, report=report)
         self._assert_at_line_starts(raw, report.drops)
 
     @pytest.mark.parametrize("ingest", ["scalar", "columnar"])
@@ -236,13 +246,13 @@ class TestLenientOffsetsOnFiles:
         raw = self._damage(log.read_bytes())
         log.write_bytes(raw)
         dataset = Dataset.load(
-            tmp_path, small_dataset.network, strict=False, report=IngestReport()
+            tmp_path, small_dataset.network, report=IngestReport()
         )
         parse = (
             SyslogCollector.parse_log if ingest == "scalar" else parse_log_columnar
         )
         report = _RecordingReport()
-        parse(dataset.syslog_text, strict=False, report=report)
+        parse(dataset.syslog_text, report=report)
         self._assert_at_line_starts(raw, report.drops)
 
     def test_dataset_saves_the_bytes_it_loaded(self, tmp_path, small_dataset):
@@ -251,7 +261,7 @@ class TestLenientOffsetsOnFiles:
         raw = self._damage(log.read_bytes())
         log.write_bytes(raw)
         dataset = Dataset.load(
-            tmp_path / "damaged", small_dataset.network, strict=False, report=IngestReport()
+            tmp_path / "damaged", small_dataset.network, report=IngestReport()
         )
         dataset.save(tmp_path / "copy")
         assert (tmp_path / "copy" / "syslog.log").read_bytes() == raw
@@ -395,7 +405,7 @@ class TestMrtSalvage:
         for cut in range(len(MAGIC), len(archive)):
             report = IngestReport()
             reader = MrtDumpReader(
-                io.BytesIO(archive[:cut]), strict=False, report=report
+                io.BytesIO(archive[:cut]), report=report
             )
             salvaged = list(reader)
             complete = sum(
@@ -438,7 +448,7 @@ class TestMrtSalvage:
     def test_bad_magic_lenient_yields_nothing_and_records_it(self):
         report = IngestReport()
         reader = MrtDumpReader(
-            io.BytesIO(b"NOTADUMP" + b"\x00" * 32), strict=False, report=report
+            io.BytesIO(b"NOTADUMP" + b"\x00" * 32), report=report
         )
         assert list(reader) == []
         assert report.reasons(CHANNEL_ISIS) == {"bad-magic": 1}
@@ -458,7 +468,7 @@ class TestMrtSalvage:
 
         report = IngestReport()
         salvaged = list(
-            MrtDumpReader(io.BytesIO(bytes(archive)), strict=False, report=report)
+            MrtDumpReader(io.BytesIO(bytes(archive)), report=report)
         )
         assert len(salvaged) == 3
         assert report.reasons(CHANNEL_ISIS) == {"oversize-record": 1}
@@ -470,7 +480,7 @@ class TestMrtSalvage:
             damaged = truncate_mrt(archive, rng(label))
             report = IngestReport()
             salvaged = list(
-                MrtDumpReader(io.BytesIO(damaged), strict=False, report=report)
+                MrtDumpReader(io.BytesIO(damaged), report=report)
             )
             assert report.dropped(CHANNEL_ISIS) == 1
             assert len(salvaged) < len(PAYLOADS)
@@ -550,3 +560,172 @@ def test_injector_names_match_the_chaos_scenarios():
         "checkpoint-corrupt",
         "kill-resume",
     )
+
+
+# ------------------------------------------------- the ingestion contract
+class _Damaged:
+    """A saved campaign damaged in every channel by the injectors above,
+    and the ledgers the lowest layers fill over its bytes."""
+
+    def __init__(self, directory, dataset):
+        dataset.save(directory)
+        self.directory = directory
+        self.network = dataset.network
+        self.syslog_path = directory / "syslog.log"
+        self.dump_path = directory / "isis.dump"
+        raw = self.syslog_path.read_bytes()
+        raw = inject_garbage_lines(raw, rng("contract-garbage"), count=12)
+        raw = truncate_log_lines(raw, rng("contract-cut"), count=8)
+        self.syslog_path.write_bytes(raw)
+        dump = bitflip_mrt_payloads(self.dump_path.read_bytes(), rng("contract-flip"))
+        dump = truncate_mrt(dump, rng("contract-truncate"))
+        self.dump_path.write_bytes(dump)
+
+        # The damaged campaign in memory, built without the loader so only
+        # the Dataset.load row below depends on it.
+        self.text = raw.decode("utf-8", LENIENT_ERRORS)
+        self.records = MrtDumpReader(io.BytesIO(dump), report=IngestReport()).read_all()
+        self.dataset = dataclasses.replace(
+            dataset, syslog_text=self.text, lsp_records=self.records
+        )
+        self.resolver = LinkResolver(dataset.inventory)
+        self.lowest = {
+            "syslog": self._drops(
+                lambda report: SyslogCollector.parse_log(self.text, report=report)
+            ),
+            "mrt": self._drops(
+                lambda report: MrtDumpReader(io.BytesIO(dump), report=report).read_all()
+            ),
+            "replay": self._drops(
+                lambda report: replay_lsp_records(self.records, report=report)
+            ),
+        }
+
+    @staticmethod
+    def _drops(call):
+        report = _RecordingReport()
+        call(report)
+        return report.drops
+
+
+def _read_dump(damaged, report):
+    with MrtDumpReader.open(damaged.dump_path, report=report) as reader:
+        return reader.read_all()
+
+
+def _walk(damaged, report):
+    walk = columnar_ingest._Walk(report)
+    columnar_ingest._parse_mixed(damaged.text, walk)
+    return walk.entries
+
+
+#: entry point -> (call, the lowest layers it reads in order, the
+#: exception it raises without a ledger).
+INGESTION_ENTRY_POINTS = {
+    "SyslogCollector.parse_log": (
+        lambda d, report: SyslogCollector.parse_log(d.text, report=report),
+        ("syslog",),
+        SyslogParseError,
+    ),
+    "SyslogCollector.read_log": (
+        lambda d, report: SyslogCollector.read_log(d.syslog_path, report=report),
+        ("syslog",),
+        UnicodeDecodeError,
+    ),
+    "parse_log_columnar": (
+        lambda d, report: parse_log_columnar(d.text, report=report),
+        ("syslog",),
+        SyslogParseError,
+    ),
+    "columnar._Walk": (_walk, ("syslog",), SyslogParseError),
+    "MrtDumpReader": (
+        lambda d, report: MrtDumpReader(
+            io.BytesIO(d.dump_path.read_bytes()), report=report
+        ).read_all(),
+        ("mrt",),
+        MrtFormatError,
+    ),
+    "MrtDumpReader.open": (_read_dump, ("mrt",), MrtFormatError),
+    "Dataset.load": (
+        lambda d, report: Dataset.load(d.directory, d.network, report=report),
+        ("mrt",),
+        UnicodeDecodeError,
+    ),
+    "Dataset.iter_syslog_entries": (
+        lambda d, report: list(d.dataset.iter_syslog_entries(report=report)),
+        ("syslog",),
+        SyslogParseError,
+    ),
+    "replay_lsp_records": (
+        lambda d, report: replay_lsp_records(d.records, report=report),
+        ("replay",),
+        LspDecodeError,
+    ),
+    "extract_isis": (
+        lambda d, report: extract_isis(
+            d.records,
+            d.resolver,
+            d.dataset.analysis_start,
+            d.dataset.horizon_end,
+            report=report,
+        ),
+        ("replay",),
+        LspDecodeError,
+    ),
+    "syslog_events": (
+        lambda d, report: list(syslog_events(d.dataset, d.resolver, report=report)),
+        ("syslog",),
+        SyslogParseError,
+    ),
+    "isis_events": (
+        lambda d, report: list(isis_events(d.dataset, d.resolver, report=report)),
+        ("replay",),
+        LspDecodeError,
+    ),
+    "dataset_event_stream": (
+        lambda d, report: list(
+            dataset_event_stream(d.dataset, d.resolver, report=report)
+        ),
+        ("syslog", "replay"),
+        SyslogParseError,
+    ),
+    "stream_dataset": (
+        lambda d, report: stream_dataset(d.dataset, report=report),
+        ("syslog", "replay"),
+        SyslogParseError,
+    ),
+    "run_analysis[scalar]": (
+        lambda d, report: run_analysis(d.dataset, report=report),
+        ("syslog", "replay"),
+        SyslogParseError,
+    ),
+    "run_analysis[columnar]": (
+        lambda d, report: run_analysis(d.dataset, report=report, ingest="columnar"),
+        ("syslog", "replay"),
+        SyslogParseError,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def damaged_campaign(small_dataset, tmp_path_factory):
+    damaged = _Damaged(tmp_path_factory.mktemp("contract"), small_dataset)
+    # The damage reaches every lowest layer, so each row below is tested
+    # against a non-empty ledger.
+    assert all(damaged.lowest.values())
+    assert {drop.reason for drop in damaged.lowest["replay"]} == {"lsp-decode"}
+    return damaged
+
+
+@pytest.mark.parametrize("entry", sorted(INGESTION_ENTRY_POINTS))
+def test_entry_point_threads_the_ledger(entry, damaged_campaign):
+    """With a ledger the call completes on input damaged in every channel
+    it reads, and its ledger holds exactly the drops of the lowest layers
+    over the same bytes; without one it raises."""
+    call, layers, strict_error = INGESTION_ENTRY_POINTS[entry]
+    report = _RecordingReport()
+    call(damaged_campaign, report)
+    expected = [drop for layer in layers for drop in damaged_campaign.lowest[layer]]
+    assert report.drops == expected
+    with pytest.raises(strict_error):
+        call(damaged_campaign, None)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.extract_isis import replay_lsp_records
@@ -372,12 +372,12 @@ def assert_matches_decode_everything(records):
 
     quarantined = [("lsp-decode", index) for index, _ in failures]
     batch_report = IndexedReport()
-    _, changes = replay_lsp_records(records, strict=False, report=batch_report)
+    _, changes = replay_lsp_records(records, report=batch_report)
     assert batch_report.quarantined == quarantined
     assert changes == oracle.changes
     stream_report = IndexedReport()
     dataset = SimpleNamespace(iter_lsp_records=lambda: iter(records))
-    list(isis_events(dataset, UnresolvingResolver(), strict=False, report=stream_report))
+    list(isis_events(dataset, UnresolvingResolver(), report=stream_report))
     assert stream_report.quarantined == quarantined
 
 
@@ -385,6 +385,61 @@ def assert_matches_decode_everything(records):
 @given(steps)
 def test_refresh_listener_matches_decode_everything(steps):
     assert_matches_decode_everything(build_archive(steps))
+
+
+def replay_both(records, report_factory):
+    """Batch changes and stream events over ``records``, each with its own
+    ledger from ``report_factory`` (``None`` for no ledger)."""
+    batch_report, stream_report = report_factory(), report_factory()
+    _, changes = replay_lsp_records(records, report=batch_report)
+    dataset = SimpleNamespace(iter_lsp_records=lambda: iter(records))
+    events = list(isis_events(dataset, UnresolvingResolver(), report=stream_report))
+    return changes, events, batch_report, stream_report
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as error:  # noqa: BLE001 - the type is the comparison
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps, st.integers(0, 2**16))
+def test_time_regression_is_one_policy_in_batch_and_stream(steps, pick):
+    """A record whose capture time goes backwards, inserted after an
+    accepted record: without a ledger batch and stream raise the same
+    first exception (the regression's ``ValueError`` unless a damaged
+    record comes first); with one both ledgers hold one
+    ``time-regression`` drop at its index, among the decode drops, and
+    both replay the archive as if the record were absent."""
+    records = build_archive(steps)
+    expected = outcomes(OracleListener().observe_bytes, records)
+    accepted = [i for i, e in enumerate(expected) if not isinstance(e, tuple)]
+    assume(accepted)
+    position = accepted[pick % len(accepted)] + 1
+    # Times are the step numbers, so -1.0 precedes every replayed record.
+    regressed = (-1.0, records[pick % len(records)][1])
+    damaged = records[:position] + [regressed] + records[position:]
+
+    batch_error = raised(lambda: replay_lsp_records(damaged))
+    dataset = SimpleNamespace(iter_lsp_records=lambda: iter(damaged))
+    stream_error = raised(lambda: list(isis_events(dataset, UnresolvingResolver())))
+    assert batch_error is not None and batch_error == stream_error
+    if not any(isinstance(e, tuple) for e in expected[:position]):
+        assert batch_error[0] is ValueError and "regressed" in batch_error[1]
+
+    quarantined = [
+        ("lsp-decode", i if i < position else i + 1)
+        for i, e in enumerate(expected)
+        if isinstance(e, tuple)
+    ]
+    quarantined.append(("time-regression", position))
+    quarantined.sort(key=lambda drop: drop[1])
+    changes, events, batch_report, stream_report = replay_both(damaged, IndexedReport)
+    assert batch_report.quarantined == stream_report.quarantined == quarantined
+    assert (changes, events) == replay_both(records, IndexedReport)[:2]
 
 
 @settings(max_examples=200, deadline=None)

@@ -148,7 +148,7 @@ class TestBatchEquivalence:
 
 class TestLenientCleanPathIdentity:
     """Hardened ingestion's acceptance bar: with no injected faults,
-    ``strict=False`` must be byte-identical to strict mode — the
+    a run given a drop ledger must be byte-identical to one without — the
     quarantine machinery may cost nothing on clean input — and the
     ledger must stay empty (seeds 7 and 2013 via the fixture)."""
 
@@ -158,7 +158,7 @@ class TestLenientCleanPathIdentity:
 
         dataset, batch = seeded_pair
         report = IngestReport()
-        lenient = run_analysis(dataset, strict=False, report=report)
+        lenient = run_analysis(dataset, report=report)
         assert not report
         assert lenient.ingest is report
         assert analysis_signature(lenient) == analysis_signature(batch)
@@ -168,7 +168,7 @@ class TestLenientCleanPathIdentity:
 
         dataset, batch = seeded_pair
         report = IngestReport()
-        stream = stream_dataset(dataset, strict=False, report=report)
+        stream = stream_dataset(dataset, report=report)
         assert not report
         assert_equivalent(batch, stream)
 
